@@ -138,18 +138,22 @@ def cmd_invariant(args):
                 sys.stderr.write("error: %s\n" % exc)
                 return 1
             sys.stderr.write("note: comb recursion not applicable: %s\n" % exc)
-    if cache is not None:
-        cache.save()
     for name in sorted(results):
         _print_poly(name, results[name], args.as_float, args.json)
+    rc = 0
     if len(results) > 1:
         vals = list(results.values())
         if all(v == vals[0] for v in vals):
             print("MATCH")
         else:
             print("MISMATCH")
-            return 2
-    return 0
+            rc = 2
+    if cache is not None:
+        try:
+            cache.save()
+        except OSError as exc:
+            sys.stderr.write("warning: cache not saved to %s: %s\n" % (path, exc.strerror or exc))
+    return rc
 
 
 def cmd_euler(args):
@@ -256,7 +260,7 @@ def cmd_cache_info(args):
         return 0
     try:
         cache = InvariantCache(path)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 1
     print("format: hhi/1")

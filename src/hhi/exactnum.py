@@ -79,10 +79,6 @@ class SignedIndexSet:
                 self.negatives.append(p)
                 p = p + 1
 
-    def __iter__(self):
-        # iterate numerator indices with weight +1 semantics first
-        return iter(self.positives + self.negatives)
-
     def is_empty(self):
         return not self.positives and not self.negatives
 

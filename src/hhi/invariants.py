@@ -16,10 +16,10 @@ import json
 import os
 import tempfile
 
-from .exactnum import LaurentPoly, signed_index_set
+from .exactnum import LaurentPoly
 from .orbifold import OrbifoldData
 from .mzeron import integrate, psi_marking, psi_integral
-from .euler import euler_class_compact
+from .euler import euler_class_compact, weighted_class
 
 CACHE_FORMAT = "hhi/1"
 
@@ -112,34 +112,12 @@ def invariant_weighted(key, coarse=False, cache=None):
         hit = cache.get(key, "weighted", coarse)
         if hit is not None:
             return hit
-    n, nvars = data.n, data.N
-    # H-expansion of the product of (t_a - p H)^{+-1} over the signed
-    # index set of (age sum over 1..n-1) - 1, truncated above H^(n-3)
-    coeffs = [LaurentPoly.one(nvars)] + [LaurentPoly.zero(nvars)] * (n - 3)
-    body = list(range(1, n))
-    for a in range(1, nvars + 1):
-        t = LaurentPoly.var_power(nvars, a, 1)
-        tinv = LaurentPoly.var_power(nvars, a, -1)
-        s = signed_index_set(data.age_sum(body, a) - 1)
-        for p in s.positives:
-            nxt = [c * t for c in coeffs]
-            for j in range(1, n - 2):
-                nxt[j] = nxt[j] - coeffs[j - 1] * p
-            coeffs = nxt
-        for p in s.negatives:
-            nxt = [LaurentPoly.zero(nvars) for _ in coeffs]
-            for j, c in enumerate(coeffs):
-                geo = tinv
-                for k in range(j, n - 2):
-                    nxt[k] = nxt[k] + c * geo
-                    geo = geo * tinv * p
-            coeffs = nxt
-    val = LaurentPoly.zero(nvars)
-    exps = list(key.psi)
-    for j in range(n - 2):
-        w = psi_integral(n, exps[:-1] + [exps[-1] + j])
+    n = data.n
+    val = LaurentPoly.zero(data.N)
+    for j, c in weighted_class(data).coeffs.items():
+        w = psi_integral(n, key.psi[:-1] + (key.psi[-1] + j,))
         if w:
-            val = val + coeffs[j] * w
+            val = val + c * w
     if not coarse:
         val = val.scale_div(data.r)
     if cache is not None:
@@ -175,11 +153,24 @@ class InvariantCache:
         }
 
     def load(self, path):
-        with open(path) as fh:
-            obj = json.load(fh)
+        """Read the records of a cache file; ValueError if the file is not
+        a cache.  Only types are checked: every record must be an object
+        carrying a "value" list."""
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise ValueError("cannot read cache %s: %s" % (path, exc.strerror))
+        if not isinstance(obj, dict):
+            raise ValueError("cache %s is not a JSON object" % path)
         if obj.get("format") != CACHE_FORMAT:
             raise ValueError("unrecognized cache format: %r" % obj.get("format"))
-        self.records.update(obj.get("records", {}))
+        records = obj.get("records", {})
+        if not isinstance(records, dict) or not all(
+                isinstance(rec, dict) and isinstance(rec.get("value"), list)
+                for rec in records.values()):
+            raise ValueError("cache %s has a malformed record" % path)
+        self.records.update(records)
 
     def save(self, path=None):
         path = path or self.path

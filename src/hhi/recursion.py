@@ -12,6 +12,12 @@ of (age sum - 1) descending-factorial, and the partition carries the
 sign (-1)^(1 + sum over teeth of (|T|-1)).  Merging each tooth to a
 single marking yields a smaller invariant of the same kind.
 
+Set partitions whose teeth carry the same multiset of marking labels
+(element, psi exponent) give the same term, so the sum runs over
+multiset partitions of the labels instead, each weighted by the number
+of set partitions it stands for (tooth_placements).  set_partitions is
+the brute-force enumeration those counts are checked against.
+
 equivariant_comb_expand is the descendant/equivariant refinement: teeth
 may carry psi insertions and need not satisfy the fractional-part
 condition, the tooth factors become elementary symmetric Laurent
@@ -21,6 +27,7 @@ psi exponent.  The identity
 then holds term by term against the boundary-divisor integration.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -48,7 +55,7 @@ def partitions_of_int(total, minpart=1):
     if total == 0:
         yield ()
         return
-    for first in range(min(total, 10 ** 9), minpart - 1, -1):
+    for first in range(total, minpart - 1, -1):
         for rest in partitions_of_int(total - first, minpart):
             if not rest or rest[0] <= first:
                 yield (first,) + rest
@@ -137,6 +144,51 @@ def _head_key(key, teeth, node_psis=None):
     return InvariantKey(OrbifoldData(data.r, data.weights, elements), psi)
 
 
+def tooth_placements(key):
+    """The tooth sets of a canonical key, one per multiset of tooth labels.
+
+    Markings 1..n-1 are labeled by (element, psi exponent), and in a
+    canonical key equal labels sit next to each other.  A tooth's shape
+    is the number of markings it takes from each label; its size lies in
+    2..n-2.  For every nonempty multiset of shapes that fits in the body,
+    yields (teeth, count): teeth built from the first unused markings of
+    each label, and the number of set partitions of 1..n-1 whose blocks
+    of size >= 2 carry those labels,
+        prod m! / (prod c!  *  prod mult!  *  prod (m - used)!)
+    over label multiplicities m, shape entries c, and the multiplicity
+    mult of each distinct shape in the multiset.
+    """
+    n = key.data.n
+    labels = zip(key.data.elements[:-1], key.psi[:-1])
+    mults = [len(list(run)) for _, run in itertools.groupby(labels)]
+    starts = list(itertools.accumulate(mults, initial=1))
+    shapes = [c for c in itertools.product(*(range(m + 1) for m in mults))
+              if 2 <= sum(c) <= n - 2]
+    top = math.prod(math.factorial(m) for m in mults)
+
+    def fill(first, left, chosen):
+        if chosen:
+            yield chosen, left
+        for j in range(first, len(shapes)):
+            c = shapes[j]
+            if all(x <= y for x, y in zip(c, left)):
+                yield from fill(j, tuple(y - x for x, y in zip(c, left)), chosen + [c])
+
+    for chosen, left in fill(0, tuple(mults), []):
+        den = math.prod(math.factorial(x) for c in chosen + [left] for x in c)
+        for c in set(chosen):
+            den *= math.factorial(chosen.count(c))
+        at = list(starts)
+        teeth = []
+        for c in chosen:
+            tooth = []
+            for i, x in enumerate(c):
+                tooth.extend(range(at[i], at[i] + x))
+                at[i] += x
+            teeth.append(tooth)
+        yield teeth, top // den
+
+
 def comb_recursion(key, memo=None):
     """Invariant with age-one insertions at markings 1..n-1, by the comb
     recursion.  Bottoms out in weighted-space values at n = 3."""
@@ -153,71 +205,23 @@ def _comb_value(key, memo):
         return hit
     data = key.data
     val = invariant_weighted(key)
-    n = data.n
-    if n > 3:
-        if len(set(data.elements[:-1])) == 1:
-            val = val + _comb_teeth_grouped(key, memo)
-        else:
-            val = val + _comb_teeth_generic(key, memo)
-    memo[ck] = val
-    return val
-
-
-def _comb_teeth_generic(key, memo):
-    """Tooth sum over all set partitions of the markings 1..n-1."""
-    data = key.data
-    n = data.n
-    total = LaurentPoly.zero(data.N)
-    for part in set_partitions(list(range(1, n))):
-        teeth = [b for b in part if len(b) >= 2]
-        if not teeth or any(len(t) > n - 2 for t in teeth):
-            continue
+    for teeth, count in tooth_placements(key):
         if not all(tooth_admissible(data, t) for t in teeth):
             continue
-        sign = (-1) ** (1 + sum(len(t) - 1 for t in teeth))
-        w = rational(sign)
+        w = rational((-1) ** (1 + sum(len(t) - 1 for t in teeth)) * count)
         for t in teeth:
             w = w * tooth_factor_plain(data, t)
-        total = total + _comb_value(_head_key(key, teeth).canonical(), memo) * w
-    return total
-
-
-def _comb_teeth_grouped(key, memo):
-    """Tooth sum when markings 1..n-1 all carry the same element: group
-    set partitions by their multiset of tooth sizes."""
-    data = key.data
-    n = data.n
-    total = LaurentPoly.zero(data.N)
-    admissible_sizes = {}
-    for s in range(2, n - 1):
-        if tooth_admissible(data, range(1, s + 1)):
-            admissible_sizes[s] = tooth_factor_plain(data, range(1, s + 1))
-    for used in range(2, n):
-        for sizes in partitions_of_int(used, 2):
-            if any(s not in admissible_sizes for s in sizes):
-                continue
-            count = math.factorial(n - 1) // math.factorial(n - 1 - used)
-            for s in sizes:
-                count //= math.factorial(s)
-            count //= _aut_order(sizes)
-            sign = (-1) ** (1 + sum(s - 1 for s in sizes))
-            w = rational(sign * count)
-            for s in sizes:
-                w = w * admissible_sizes[s]
-            teeth = []
-            at = 1
-            for s in sizes:
-                teeth.append(list(range(at, at + s)))
-                at += s
-            total = total + _comb_value(_head_key(key, teeth).canonical(), memo) * w
-    return total
+        val = val + _comb_value(_head_key(key, teeth).canonical(), memo) * w
+    memo[ck] = val
+    return val
 
 
 def equivariant_comb_expand(key):
     """Expand an invariant into weighted plus head terms with descendant
     and equivariant refinements.
 
-    Returns a list of (head InvariantKey, weight LaurentPoly) such that
+    Returns a list of (head InvariantKey, weight LaurentPoly), one entry
+    per canonical head with a nonzero weight, such that
         direct(key) = weighted(key) + sum of weight * direct(head).
     Teeth may carry psi insertions; a tooth T with psi exponents nu_i
     and l0 = |T| - 2 - sum(nu_i) >= 0 contributes, for each k > l0 up to
@@ -227,31 +231,24 @@ def equivariant_comb_expand(key):
     where p runs over the positive signed indices of (age sum in
     direction a) - 1, and the merged marking gets psi exponent k-1-l0.
     """
+    key = key.canonical()
     data = key.data
     if not data.admissible():
         raise ValueError("inadmissible data")
-    n, nvars = data.n, data.N
-    out = []
-    for part in set_partitions(list(range(1, n))):
-        teeth = [b for b in part if len(b) >= 2]
-        if not teeth or any(len(t) > n - 2 for t in teeth):
+    nvars = data.N
+    heads = {}
+    for teeth, count in tooth_placements(key):
+        per_tooth = [_tooth_options(key, t) for t in teeth]
+        if not all(per_tooth):
             continue
         sign = (-1) ** (len(teeth) + 1)
-        per_tooth = []
-        for t in teeth:
-            opts = _tooth_options(key, t)
-            if not opts:
-                per_tooth = None
-                break
-            per_tooth.append(opts)
-        if per_tooth is None:
-            continue
-        combos = [([], LaurentPoly.const(nvars, rational(sign)))]
+        combos = [([], LaurentPoly.const(nvars, rational(sign * count)))]
         for opts in per_tooth:
             combos = [(exps + [e], w * ow) for exps, w in combos for e, ow in opts]
         for node_psis, w in combos:
-            out.append((_head_key(key, teeth, node_psis).canonical(), w))
-    return out
+            head = _head_key(key, teeth, node_psis).canonical()
+            heads[head] = heads[head] + w if head in heads else w
+    return [(head, w) for head, w in heads.items() if w]
 
 
 def _tooth_options(key, markings):
@@ -357,7 +354,7 @@ def c3z3_direct(ell):
     coefficients."""
     total = frac_factorial(rational(3 * ell - 1, 3)) ** 3  # empty subset
     for size in range(1, ell + 1):
-        for subset in _subsets(ell, size):
+        for subset in itertools.combinations(range(ell), size):
             term = rational((-1) ** size) * frac_factorial(
                 rational(3 * subset[0] - 1, 3)) ** 3
             chain = list(subset) + [ell]
@@ -365,12 +362,6 @@ def c3z3_direct(ell):
                 term = term * c3z3_c_coeff(y - x, y)
             total = total + term
     return total * rational((-1) ** ell, 3)
-
-
-def _subsets(limit, size):
-    """Sorted size-subsets of {0, ..., limit-1}."""
-    import itertools
-    return itertools.combinations(range(limit), size)
 
 
 # ---------------------------------------------------------------------------

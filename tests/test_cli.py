@@ -203,3 +203,41 @@ def test_determinism(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second and first[0] == 0
+
+
+def test_cache_record_without_value_exits_one(capsys, isolated_cwd):
+    path = isolated_cwd / "hhi-cache.json"
+    record = {"key": {"r": 3, "weights": [1, 1, 1], "elements": [1, 1, 1],
+                      "psi": [0, 0, 0]}, "method": "direct", "coarse": False}
+    path.write_text(json.dumps({"format": "hhi/1", "records": {
+        "r=3;w=1,1,1;k=1,1,1;v=0,0,0;method=direct;coarse=0": record}}))
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cache_non_object_file_exits_one(capsys, isolated_cwd):
+    (isolated_cwd / "hhi-cache.json").write_text("[1,2]")
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    rc, _, err = run(capsys, "cache-info")
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cache_unwritable_path_prints_value_and_warns(capsys, isolated_cwd):
+    path = isolated_cwd / "missing" / "dir" / "x.json"
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1",
+                       "-k", "1,1,1", "--cache", str(path))
+    assert rc == 0
+    assert out.strip() == "direct = 1/3"
+    assert err.startswith("warning: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
+def test_cache_path_is_directory_exits_one(capsys, isolated_cwd):
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1",
+                       "-k", "1,1,1", "--cache", str(isolated_cwd))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

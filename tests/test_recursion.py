@@ -1,14 +1,15 @@
+from collections import Counter
+
 import pytest
 
 from hhi.exactnum import LaurentPoly, rational
 from hhi.invariants import InvariantKey, invariant_direct, invariant_weighted
 from hhi.orbifold import OrbifoldData
-from hhi.recursion import (Series, _aut_order, _comb_teeth_generic,
-                           _comb_teeth_grouped, c3z3_direct, c3z3_mirror,
+from hhi.recursion import (Series, _aut_order, c3z3_direct, c3z3_mirror,
                            c3z3_series, c3z3_weighted, comb_recursion,
                            equivariant_comb_expand, mirror_tau,
                            partitions_of_int, set_partitions, tooth_admissible,
-                           tooth_factor, tooth_factor_plain)
+                           tooth_factor, tooth_factor_plain, tooth_placements)
 
 
 def key(r, weights, elements, psi=None):
@@ -100,10 +101,35 @@ def test_comb_equals_direct_small_sweep():
         assert comb_recursion(k) == invariant_direct(k), k
 
 
-def test_grouped_matches_generic_tooth_sum():
-    k = key(3, (1, 1, 1), (1,) * 7).canonical()
-    memo = {}
-    assert _comb_teeth_grouped(k, memo) == _comb_teeth_generic(k, dict(memo))
+def test_tooth_placements_count_set_partitions():
+    """Grouping the set partitions of 1..n-1 by the multiset of their
+    teeth's labels gives exactly the placement counts."""
+    def labels(k, teeth):
+        return tuple(sorted(tuple(sorted((k.data.elements[i - 1], k.psi[i - 1]) for i in t))
+                            for t in teeth))
+
+    for k in [key(3, (1, 1, 1), (1,) * 7),
+              key(4, (1, 1, 2), (1, 1, 1, 2, 2, 2, 3)),
+              key(4, (1, 1), (1, 1, 3, 3, 2, 2), (1, 0, 0, 0, 0, 0))]:
+        k = k.canonical()
+        n = k.data.n
+        oracle = Counter()
+        for part in set_partitions(range(1, n)):
+            teeth = [b for b in part if len(b) >= 2]
+            if teeth and all(len(t) <= n - 2 for t in teeth):
+                oracle[labels(k, teeth)] += 1
+        counts = {}
+        for teeth, count in tooth_placements(k):
+            assert labels(k, teeth) not in counts
+            counts[labels(k, teeth)] = count
+        assert counts == oracle, k
+
+
+def test_comb_frozen_mixed_n11():
+    """A two-element body at n = 11; the value is the one a walk over
+    all set partitions of the body gives."""
+    k = key(4, (1, 1, 2), (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1))
+    assert comb_recursion(k) == LaurentPoly.const(3, rational(47, 128))
 
 
 def test_equivariant_expand_identity():
