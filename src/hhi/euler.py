@@ -19,11 +19,17 @@ in a tiny commutative algebra on two nilpotent symbols x = D(T) and
 y = psi_T, and only the resulting polynomial is expanded into boundary
 monomials; every monomial of a power of psi_T strictly contains T, so
 that expansion never needs a laminarity check against D(T) itself.
+The compact form is built on integers: with s the lcm of the age
+denominators, it feeds the indices as p*s and so carries each degree-d
+coefficient times s^d (scaled_compact_product).  The head-and-walls
+form stays on rational indices, an independent route to compare with.
 
 weighted_class is the analogous total class for the target with all
 markings generic: a polynomial in a single nilpotent variable H standing
 for the psi class at the distinguished marking.
 """
+
+import math
 
 from .exactnum import LaurentPoly, rational, signed_index_set
 from .mzeron import CohClass, full_mask, markings_of, mono_degree, psi_subset
@@ -87,7 +93,6 @@ def _biv_mul_linear(biv, nvars, a, cx, cy, maxdeg):
 
 def _biv_mul_inv(biv, nvars, a, cx, cy, maxdeg):
     """Multiply by (t_a + cx*x + cy*y)^(-1), expanded geometrically."""
-    import math
     tinv = LaurentPoly.var_power(nvars, a, -1)
     out = {}
     for (j, k), c in biv.items():
@@ -98,8 +103,7 @@ def _biv_mul_inv(biv, nvars, a, cx, cy, maxdeg):
             for i in range(d + 1):
                 if (cx or i == 0) and (cy or i == d):
                     jj, kk = j + i, k + d - i
-                    w = base * (rational((-1) ** d * math.comb(d, i))
-                                * cx ** i * cy ** (d - i))
+                    w = base * ((-1) ** d * math.comb(d, i) * cx ** i * cy ** (d - i))
                     w = w * tinv ** d if d else w
                     if w:
                         s = out.get((jj, kk))
@@ -204,8 +208,8 @@ def euler_class_mainthm(data):
     return out
 
 
-def compact_product(n, nvars, deltas, prefactor_exps):
-    """The compact-form evaluator on raw age data.
+def scaled_compact_product(n, nvars, deltas, prefactor_exps):
+    """The compact-form evaluator on raw age data, built on integers.
 
     deltas[a-1][i-1] is the age-type exponent of marking i (1..n-1) in
     direction a; it need not lie in [0,1).  prefactor_exps[a-1] is the
@@ -213,33 +217,57 @@ def compact_product(n, nvars, deltas, prefactor_exps):
     direction and each nonempty subset T of the non-distinguished
     markings, the product over the signed index set of delta_T - 1 of
     (t_a + p psi_T + p D(T)) / (t_a + p psi_T) is included.
+
+    Returns (cls, s), where s is the lcm of the denominators of the
+    deltas and cls is the product with each degree-d coefficient
+    multiplied by s^d.  Every index p lies in (1/s)Z, so feeding the
+    integer p*s to the two-symbol algebra scales the coefficient of
+    x^j y^k by s^(j+k); the geometric-series inverses divide only by
+    t_a, so every coefficient of cls is an integer Laurent polynomial.
     """
+    s = math.lcm(*(d.denominator for row in deltas for d in row))
     fm = full_mask(n)
     maxdeg = n - 3
-    pref = LaurentPoly(nvars, {tuple(prefactor_exps): rational(1)})
+    pref = LaurentPoly(nvars, {tuple(prefactor_exps): 1})
     out = CohClass.scalar(n, nvars, pref)
     for tmask in range(1, fm + 1):
         biv = None
         for a in range(1, nvars + 1):
             delta_t = sum(deltas[a - 1][b] for b in range(n - 1) if tmask >> b & 1)
-            s = signed_index_set(delta_t - 1)
-            if s.is_empty():
+            idx = signed_index_set(delta_t - 1)
+            if idx.is_empty():
                 continue
             if biv is None:
                 biv = _biv_one(nvars)
-            for p in s.positives:
+            for p in idx.positives:
+                p = int(p * s)
                 biv = _biv_mul_linear(biv, nvars, a, p, p, maxdeg)
                 biv = _biv_mul_inv(biv, nvars, a, 0, p, maxdeg)
-            for p in s.negatives:
+            for p in idx.negatives:
+                p = int(p * s)
                 biv = _biv_mul_linear(biv, nvars, a, 0, p, maxdeg)
                 biv = _biv_mul_inv(biv, nvars, a, p, p, maxdeg)
         if biv is not None:
             out = out * _expand_bivariate(n, nvars, tmask, biv)
-    return out
+    return out, s
 
 
-def euler_class_compact(data):
-    """Euler class via the all-subsets product against a t-monomial prefactor."""
+def unscale(cls, s):
+    """Divide each degree-d coefficient of cls by s^d."""
+    if s == 1:
+        return cls
+    return CohClass(cls.n, cls.nvars, {m: c.scale_div(s ** mono_degree(m))
+                                       for m, c in cls.terms.items()})
+
+
+def compact_product(n, nvars, deltas, prefactor_exps):
+    """The compact-form product of scaled_compact_product, unscaled."""
+    return unscale(*scaled_compact_product(n, nvars, deltas, prefactor_exps))
+
+
+def scaled_compact_class(data):
+    """The compact-form Euler class as (cls, s), scaled as in
+    scaled_compact_product (s divides the group order)."""
     _require_admissible(data)
     n, nvars = data.n, data.N
     deltas = [[data.age(i, a) for i in range(1, n)] for a in range(1, nvars + 1)]
@@ -249,7 +277,12 @@ def euler_class_compact(data):
         if total.denominator != 1:
             raise ValueError("per-direction age sum must be an integer")
         prefactor.append(int(total) - 1)
-    return compact_product(n, nvars, deltas, prefactor)
+    return scaled_compact_product(n, nvars, deltas, prefactor)
+
+
+def euler_class_compact(data):
+    """Euler class via the all-subsets product against a t-monomial prefactor."""
+    return unscale(*scaled_compact_class(data))
 
 
 class WeightedClass:

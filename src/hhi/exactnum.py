@@ -1,8 +1,11 @@
 """Exact rational arithmetic, fractional-part conventions, and Laurent polynomials.
 
 The rational backend is gmpy2.mpq when available (much faster), with
-fractions.Fraction as a drop-in fallback.  Both types hash and compare
-identically, so code elsewhere never needs to care which one is active.
+fractions.Fraction as a drop-in fallback.  Coefficients may also be
+plain Python ints: LaurentPoly keeps int coefficients as ints, so a
+computation fed only integers (the compact Euler-class build) never
+touches the rational type.  Ints, Fraction and mpq hash and compare
+identically, so code elsewhere never needs to care which one it holds.
 
 The fractional-part convention used throughout is the *upper* one:
 frac_unit(x) = x - ceil(x) + 1, which lands in (0, 1] and equals 1 on
@@ -122,7 +125,7 @@ class LaurentPoly:
         if terms:
             for e, c in terms.items():
                 if c:
-                    self.terms[tuple(e)] = self.terms.get(tuple(e), rational(0)) + c
+                    self.terms[tuple(e)] = self.terms.get(tuple(e), 0) + c
             for e in [e for e, c in self.terms.items() if not c]:
                 del self.terms[e]
 
@@ -132,21 +135,20 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, nvars, c):
-        c = rational(c) if isinstance(c, int) else c
         if not c:
             return cls(nvars)
         return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def one(cls, nvars):
-        return cls.const(nvars, rational(1))
+        return cls.const(nvars, 1)
 
     @classmethod
     def var_power(cls, nvars, a, k, coeff=1):
         """coeff * t_a^k, with a 1-based."""
         e = [0] * nvars
         e[a - 1] = k
-        return cls(nvars, {tuple(e): rational(coeff)})
+        return cls(nvars, {tuple(e): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -168,11 +170,11 @@ class LaurentPoly:
 
     def __add__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            other = LaurentPoly.const(self.nvars, rational(other))
+            other = LaurentPoly.const(self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, rational(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             elif e in terms:
@@ -190,7 +192,7 @@ class LaurentPoly:
 
     def __sub__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            other = LaurentPoly.const(self.nvars, rational(other))
+            other = LaurentPoly.const(self.nvars, other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -217,7 +219,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, rational(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 elif e in terms:
@@ -245,19 +247,19 @@ class LaurentPoly:
         return out
 
     def constant_term(self):
-        return self.terms.get((0,) * self.nvars, rational(0))
+        return self.terms.get((0,) * self.nvars, 0)
 
     def as_rational(self):
         """The value of a constant polynomial; error if t-dependent."""
         if not self.terms:
-            return rational(0)
+            return 0
         if list(self.terms) != [(0,) * self.nvars]:
             raise ValueError("not a constant: %s" % self)
         return self.constant_term()
 
     def substitute_ones(self):
         """Evaluate at t_1 = ... = t_nvars = 1."""
-        return sum(self.terms.values(), rational(0))
+        return sum(self.terms.values())
 
     def to_obj(self):
         out = []
@@ -267,7 +269,20 @@ class LaurentPoly:
 
     @classmethod
     def from_obj(cls, nvars, obj):
-        return cls(nvars, {tuple(item["t_exp"]): rat_from_str(item["coeff"]) for item in obj})
+        """Inverse of to_obj; ValueError on a malformed term."""
+        terms = {}
+        for item in obj:
+            if not isinstance(item, dict) or "t_exp" not in item or "coeff" not in item:
+                raise ValueError("term without t_exp and coeff: %r" % (item,))
+            exps, coeff = item["t_exp"], item["coeff"]
+            if (not isinstance(exps, (list, tuple)) or len(exps) != nvars
+                    or not all(type(e) is int for e in exps)):
+                raise ValueError("t_exp is not a list of %d integers: %r" % (nvars, exps))
+            try:
+                terms[tuple(exps)] = rat_from_str(coeff)
+            except (AttributeError, ValueError, ZeroDivisionError):
+                raise ValueError("unparsable coeff: %r" % (coeff,)) from None
+        return cls(nvars, terms)
 
     def __repr__(self):
         if not self.terms:

@@ -19,7 +19,7 @@ import tempfile
 from .exactnum import LaurentPoly
 from .orbifold import OrbifoldData
 from .mzeron import integrate, psi_marking, psi_integral
-from .euler import euler_class_compact, weighted_class
+from .euler import scaled_compact_class, weighted_class
 
 CACHE_FORMAT = "hhi/1"
 
@@ -89,13 +89,14 @@ def invariant_direct(key, coarse=False, cache=None):
         hit = cache.get(key, "direct", coarse)
         if hit is not None:
             return hit
-    cls = euler_class_compact(data)
+    # Integrate the integer class with degree-d coefficients scaled by
+    # s^d, each psi insertion scaled by s to match, and divide once.
+    cls, s = scaled_compact_class(data)
     for i in range(1, data.n + 1):
+        psi = psi_marking(data.n, data.N, i) * s
         for _ in range(key.psi[i - 1]):
-            cls = cls * psi_marking(data.n, data.N, i)
-    val = integrate(cls)
-    if not coarse:
-        val = val.scale_div(data.r)
+            cls = cls * psi
+    val = integrate(cls).scale_div(s ** (data.n - 3) * (1 if coarse else data.r))
     if cache is not None:
         cache.put(key, "direct", coarse, val)
     return val
@@ -142,7 +143,10 @@ class InvariantCache:
         rec = self.records.get(self._record_key(key, method, coarse))
         if rec is None:
             return None
-        return LaurentPoly.from_obj(key.data.N, rec["value"])
+        try:
+            return LaurentPoly.from_obj(key.data.N, rec["value"])
+        except ValueError as exc:
+            raise ValueError("cache %s has a malformed record: %s" % (self.path, exc)) from None
 
     def put(self, key, method, coarse, value):
         self.records[self._record_key(key, method, coarse)] = {

@@ -22,6 +22,8 @@ integral under relabeling of the non-distinguished markings.
 """
 
 import math
+from operator import add
+
 from .exactnum import LaurentPoly, rational
 
 
@@ -97,16 +99,16 @@ class CohClass:
 
     @classmethod
     def scalar(cls, n, nvars, coeff):
-        """coeff * 1 where coeff is a LaurentPoly or rational."""
+        """coeff * 1 where coeff is a LaurentPoly, int or rational."""
         if not isinstance(coeff, LaurentPoly):
-            coeff = LaurentPoly.const(nvars, rational(coeff))
+            coeff = LaurentPoly.const(nvars, coeff)
         if coeff.is_zero():
             return cls(n, nvars)
         return cls(n, nvars, {(): coeff})
 
     @classmethod
     def one(cls, n, nvars):
-        return cls.scalar(n, nvars, rational(1))
+        return cls.scalar(n, nvars, 1)
 
     @classmethod
     def generator(cls, n, nvars, mask):
@@ -154,31 +156,46 @@ class CohClass:
     def __mul__(self, other):
         if not isinstance(other, CohClass):
             if not isinstance(other, LaurentPoly):
-                other = LaurentPoly.const(self.nvars, rational(other))
+                other = LaurentPoly.const(self.nvars, other)
             if other.is_zero():
                 return CohClass(self.n, self.nvars)
             return CohClass(self.n, self.nvars,
                             {m: c * other for m, c in self.terms.items()})
         self._check(other)
+        # Coefficient products are summed straight into one {exp: coeff}
+        # dict per output monomial, which becomes a LaurentPoly once.  A
+        # first product is stored as is: adding it to 0 would cost a
+        # Fraction operation on the rational routes.
         maxdeg = self.n - 3
-        terms = {}
-        deg2 = {m: mono_degree(m) for m in other.terms}
+        acc = {}
+        right = [(m, mono_degree(m), c.terms.items()) for m, c in other.terms.items()]
         for m1, c1 in self.terms.items():
-            d1 = mono_degree(m1)
-            for m2, c2 in other.terms.items():
-                if d1 + deg2[m2] > maxdeg:
+            room = maxdeg - mono_degree(m1)
+            left = c1.terms.items()
+            for m2, d2, t2 in right:
+                if d2 > room:
                     continue
                 m = merge_monomials(m1, m2)
                 if m is None:
                     continue
-                c = c1 * c2
-                s = terms.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return CohClass(self.n, self.nvars, terms)
+                sums = acc.get(m)
+                if sums is None:
+                    sums = acc[m] = {}
+                for e1, a in left:
+                    for e2, b in t2:
+                        e = tuple(map(add, e1, e2))
+                        prev = sums.get(e)
+                        sums[e] = a * b if prev is None else prev + a * b
+        terms = {}
+        for m, sums in acc.items():
+            nonzero = {e: c for e, c in sums.items() if c}
+            if nonzero:
+                poly = LaurentPoly(self.nvars)
+                poly.terms = nonzero
+                terms[m] = poly
+        out = CohClass(self.n, self.nvars)
+        out.terms = terms
+        return out
 
     __rmul__ = __mul__
 

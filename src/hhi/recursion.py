@@ -195,10 +195,21 @@ def comb_recursion(key, memo=None):
     _check_comb_input(key)
     if memo is None:
         memo = {}
-    return _comb_value(key.canonical(), memo)
+    return _comb_value(key.canonical(), memo, {})
 
 
-def _comb_value(key, memo):
+def _tooth_weight(data, tooth, teeth_seen):
+    """tooth_factor_plain of an admissible tooth, else None.  Both depend
+    only on the tooth's elements, so teeth_seen keeps them by the sorted
+    element tuple (the group and weights are fixed within a recursion)."""
+    elems = tuple(sorted(data.elements[i - 1] for i in tooth))
+    if elems not in teeth_seen:
+        teeth_seen[elems] = (tooth_factor_plain(data, tooth)
+                             if tooth_admissible(data, tooth) else None)
+    return teeth_seen[elems]
+
+
+def _comb_value(key, memo, teeth_seen):
     ck = key.cache_string()
     hit = memo.get(ck)
     if hit is not None:
@@ -206,12 +217,13 @@ def _comb_value(key, memo):
     data = key.data
     val = invariant_weighted(key)
     for teeth, count in tooth_placements(key):
-        if not all(tooth_admissible(data, t) for t in teeth):
+        factors = [_tooth_weight(data, t, teeth_seen) for t in teeth]
+        if None in factors:
             continue
         w = rational((-1) ** (1 + sum(len(t) - 1 for t in teeth)) * count)
-        for t in teeth:
-            w = w * tooth_factor_plain(data, t)
-        val = val + _comb_value(_head_key(key, teeth).canonical(), memo) * w
+        for f in factors:
+            w = w * f
+        val = val + _comb_value(_head_key(key, teeth).canonical(), memo, teeth_seen) * w
     memo[ck] = val
     return val
 

@@ -241,3 +241,23 @@ def test_cache_path_is_directory_exits_one(capsys, isolated_cwd):
                        "-k", "1,1,1", "--cache", str(isolated_cwd))
     assert rc == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("term", [
+    {"t_exp": [0, 0, 0]},
+    {"coeff": "1/3"},
+    {"t_exp": [0, 0], "coeff": "1/3"},
+    {"t_exp": [0, 0, 0], "coeff": "one third"},
+    {"t_exp": [0, 0, 0], "coeff": "1/0"},
+])
+def test_cache_malformed_term_exits_one(capsys, isolated_cwd, term):
+    """A cached value whose term lacks coeff or t_exp, has a t_exp of the
+    wrong length or an unparsable coeff ends in one error line."""
+    record = {"key": {"r": 3, "weights": [1, 1, 1], "elements": [1, 1, 1],
+                      "psi": [0, 0, 0]}, "method": "direct", "coarse": False,
+              "value": [term]}
+    (isolated_cwd / "hhi-cache.json").write_text(json.dumps({"format": "hhi/1", "records": {
+        "r=3;w=1,1,1;k=1,1,1;v=0,0,0;method=direct;coarse=0": record}}))
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,12 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational, signed_index_set
 from hhi.euler import (WeightedClass, compact_product, euler_class_compact,
                        euler_class_mainthm, inv_linear, wall_factor,
                        weighted_class)
-from hhi.mzeron import CohClass, full_mask, integrate, mask_of, psi_subset
+from hhi.invariants import InvariantKey, invariant_direct
+from hhi.mzeron import (CohClass, full_mask, integrate, mask_of, psi_marking,
+                        psi_subset)
 from hhi.orbifold import OrbifoldData
 
 
@@ -213,3 +216,67 @@ def test_signed_ranges_in_weighted_class_match_head_factor():
     assert s.positives == [rational(1, 3)]
     assert w.coefficient(0) == LaurentPoly.var_power(1, 1, 1)
     assert w.coefficient(1) == LaurentPoly.const(1, rational(-1, 3))
+
+
+def _ring_compact_product(n, nvars, deltas, prefactor_exps):
+    """compact_product's product taken factor by factor in the ring, with
+    Fraction indices p: (t_a + p psi_T + p D(T)) (t_a + p psi_T)^(-1)
+    for each positive index, the reciprocal for each negative one."""
+    out = CohClass.scalar(n, nvars, LaurentPoly(nvars, {tuple(prefactor_exps): 1}))
+    for tmask in range(1, full_mask(n) + 1):
+        psi = psi_subset(n, nvars, tmask)
+        both = psi + CohClass.generator(n, nvars, tmask)
+        for a in range(1, nvars + 1):
+            t = CohClass.scalar(n, nvars, LaurentPoly.var_power(nvars, a, 1))
+            delta = sum(deltas[a - 1][b] for b in range(n - 1) if tmask >> b & 1)
+            s = signed_index_set(delta - 1)
+            for p in s.positives:
+                out = out * (t + both * p) * inv_linear(n, nvars, a, psi * p)
+            for p in s.negatives:
+                out = out * (t + psi * p) * inv_linear(n, nvars, a, both * p)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 5), st.integers(1, 2), st.data())
+def test_compact_product_matches_fraction_ring_product(n, nvars, data):
+    """The integer-scaled build of compact_product equals the ring
+    product in Fraction arithmetic, on raw deltas whose denominators
+    differ from entry to entry (so the scale is their lcm) and may lie
+    outside [0, 1)."""
+    entry = st.builds(rational, st.integers(-4, 8), st.integers(1, 6))
+    deltas = [data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+              for _ in range(nvars)]
+    pref = data.draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars))
+    assert compact_product(n, nvars, deltas, pref) == _ring_compact_product(
+        n, nvars, deltas, pref)
+
+
+def test_compact_product_mixed_denominators_fixed_case():
+    """Denominators 2, 3 and 5 in one direction (scale 30), integers and
+    a negative entry in the other."""
+    n, nvars = 5, 2
+    deltas = [[rational(1, 2), rational(2, 3), rational(4, 5), rational(3, 2)],
+              [rational(1), rational(-1, 2), rational(7, 3), rational(2)]]
+    pref = [1, -1]
+    got = compact_product(n, nvars, deltas, pref)
+    assert got == _ring_compact_product(n, nvars, deltas, pref)
+    assert any(getattr(v, "denominator", 1) % 5 == 0
+               for c in got.terms.values() for v in c.terms.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 6), st.data())
+def test_direct_invariant_matches_mainthm_integral(r, data):
+    """invariant_direct (integer-scaled compact class, scaled psi
+    insertions, one division) against the head-and-walls class in
+    Fraction arithmetic, integrated and divided by r."""
+    nvars = data.draw(st.integers(1, 3))
+    weights = data.draw(st.lists(st.integers(1, r - 1), min_size=nvars, max_size=nvars))
+    n = data.draw(st.integers(3, 6))
+    body = data.draw(st.lists(st.integers(0, r - 1), min_size=n - 1, max_size=n - 1))
+    nu = data.draw(st.integers(0, 2))
+    d = OrbifoldData(r, weights, body + [(-sum(body)) % r])
+    psi_n = psi_marking(n, nvars, n)
+    expected = integrate(euler_class_mainthm(d) * psi_n ** nu).scale_div(r)
+    assert invariant_direct(InvariantKey(d, (0,) * (n - 1) + (nu,))) == expected

@@ -78,6 +78,20 @@ def test_psi_insertion_value():
     assert invariant_direct(k) == expected
 
 
+@pytest.mark.parametrize("nu,expected", [
+    (0, {(0, 0, 0): rational(7, 128)}),
+    (1, {(1, 0, 0): rational(-1, 4), (0, 1, 0): rational(-1, 4),
+         (0, 0, 1): rational(-3, 16)}),
+    (2, {(0, 0, 2): rational(1, 16), (0, 1, 1): rational(3, 8),
+         (1, 0, 1): rational(3, 8), (1, 1, 0): rational(1, 2)}),
+])
+def test_frozen_seven_point_values(nu, expected):
+    """Seven markings on [C^3/mu_4] with weights (1,1,2), psi^nu at the
+    distinguished marking: values recorded from the Fraction build."""
+    k = key(4, (1, 1, 2), (1, 1, 1, 1, 1, 1, 2), (0,) * 6 + (nu,))
+    assert invariant_direct(k) == LaurentPoly(3, expected)
+
+
 def test_single_direction_values():
     """[C/mu_r] with all markings of age 1/r: n of them need n-3 psi's
     at the distinguished marking to hit the dimension."""
