@@ -1,29 +1,4 @@
 """Exact genus-zero invariants of cyclic quotient singularities, computed
 independently by boundary-divisor integration and by comb recursions."""
 
-from .exactnum import (rational, rat_from_str, rat_to_str, frac_unit,
-                       signed_index_set, frac_factorial, LaurentPoly)
-from .orbifold import OrbifoldData
-from .mzeron import (CohClass, psi_subset, psi_marking, psi_integral,
-                     integrate, restrict_to_boundary, full_mask, mask_of)
-from .euler import (euler_class_mainthm, euler_class_compact, wall_factor,
-                    weighted_class, WeightedClass)
-from .invariants import (InvariantKey, InvariantCache, invariant_direct,
-                         invariant_weighted)
-from .recursion import (tooth_admissible, tooth_factor, comb_recursion,
-                        equivariant_comb_expand, c3z3_series, c3z3_direct,
-                        c3z3_mirror, Series, mirror_tau)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "rational", "rat_from_str", "rat_to_str", "frac_unit", "signed_index_set",
-    "frac_factorial", "LaurentPoly", "OrbifoldData", "CohClass", "psi_subset",
-    "psi_marking", "psi_integral", "integrate", "restrict_to_boundary",
-    "full_mask", "mask_of", "euler_class_mainthm", "euler_class_compact",
-    "wall_factor", "weighted_class", "WeightedClass", "InvariantKey",
-    "InvariantCache", "invariant_direct", "invariant_weighted",
-    "tooth_admissible", "tooth_factor", "comb_recursion",
-    "equivariant_comb_expand", "c3z3_series", "c3z3_direct", "c3z3_mirror",
-    "Series", "mirror_tau",
-]

@@ -14,7 +14,8 @@ import sys
 from .exactnum import LaurentPoly, rat_to_str
 from .orbifold import OrbifoldData
 from .euler import euler_class_mainthm, euler_class_compact, weighted_class
-from .invariants import InvariantKey, InvariantCache, invariant_direct, invariant_weighted
+from .invariants import (CACHE_FORMAT, InvariantKey, InvariantCache, invariant_direct,
+                         invariant_weighted)
 from .recursion import comb_recursion, c3z3_series, c3z3_direct, c3z3_mirror
 
 DEFAULT_CACHE = "hhi-cache.json"
@@ -114,6 +115,18 @@ def _print_poly(label, val, as_float=False, as_json=False):
         print("%s ~ %s" % (label, " + ".join(bits) if bits else "0"))
 
 
+def _report_agreement(results):
+    """Print MATCH or MISMATCH when several methods ran; the exit code."""
+    if len(results) < 2:
+        return 0
+    vals = list(results.values())
+    if all(v == vals[0] for v in vals):
+        print("MATCH")
+        return 0
+    print("MISMATCH")
+    return 2
+
+
 def cmd_invariant(args):
     key = _make_key(args)
     if not key.data.admissible():
@@ -124,30 +137,22 @@ def cmd_invariant(args):
     cache = InvariantCache(path) if path else None
     results = {}
     if args.method in ("direct", "all"):
-        results["direct"] = invariant_direct(key, coarse=args.coarse, cache=cache)
+        results["direct"] = invariant_direct(key, cache=cache)
     if args.method in ("weighted",):
-        results["weighted"] = invariant_weighted(key, coarse=args.coarse, cache=cache)
+        results["weighted"] = invariant_weighted(key, cache=cache)
     if args.method in ("comb", "all"):
         try:
-            v = comb_recursion(key)
-            if args.coarse:
-                v = v * key.data.r
-            results["comb"] = v
+            results["comb"] = comb_recursion(key)
         except ValueError as exc:
             if args.method == "comb":
                 sys.stderr.write("error: %s\n" % exc)
                 return 1
             sys.stderr.write("note: comb recursion not applicable: %s\n" % exc)
+    if args.coarse:
+        results = {name: v * key.data.r for name, v in results.items()}
     for name in sorted(results):
         _print_poly(name, results[name], args.as_float, args.json)
-    rc = 0
-    if len(results) > 1:
-        vals = list(results.values())
-        if all(v == vals[0] for v in vals):
-            print("MATCH")
-        else:
-            print("MISMATCH")
-            rc = 2
+    rc = _report_agreement(results)
     if cache is not None:
         try:
             cache.save()
@@ -158,34 +163,18 @@ def cmd_invariant(args):
 
 def cmd_euler(args):
     key = _make_key(args)
-    try:
-        classes = {}
-        if args.form in ("compact", "both"):
-            classes["compact"] = euler_class_compact(key.data)
-        if args.form in ("mainthm", "both"):
-            classes["mainthm"] = euler_class_mainthm(key.data)
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
+    classes = {}
+    if args.form in ("compact", "both"):
+        classes["compact"] = euler_class_compact(key.data)
+    if args.form in ("mainthm", "both"):
+        classes["mainthm"] = euler_class_mainthm(key.data)
     for name in sorted(classes):
         print(json.dumps({name: classes[name].to_obj()}, sort_keys=True))
-    if len(classes) > 1:
-        vals = list(classes.values())
-        if all(v == vals[0] for v in vals):
-            print("MATCH")
-        else:
-            print("MISMATCH")
-            return 2
-    return 0
+    return _report_agreement(classes)
 
 
 def cmd_weighted(args):
-    key = _make_key(args)
-    try:
-        w = weighted_class(key.data)
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
+    w = weighted_class(_make_key(args).data)
     obj = {str(j): w.coefficient(j).to_obj() for j in sorted(w.coeffs)}
     print(json.dumps(obj, sort_keys=True))
     return 0
@@ -208,14 +197,7 @@ def cmd_series(args):
             if args.as_float:
                 line += " ~ %.12g" % float(v)
             print(line)
-    if len(results) > 1:
-        vals = list(results.values())
-        if all(v == vals[0] for v in vals):
-            print("MATCH")
-        else:
-            print("MISMATCH")
-            return 2
-    return 0
+    return _report_agreement(results)
 
 
 def cmd_check(args):
@@ -253,17 +235,13 @@ def cmd_check(args):
 
 
 def cmd_cache_info(args):
-    path = args.cache or os.environ.get("HHI_CACHE", DEFAULT_CACHE)
+    path = _cache_path(args)
     print("path: %s" % path)
     if not os.path.exists(path):
         print("records: 0 (no file)")
         return 0
-    try:
-        cache = InvariantCache(path)
-    except ValueError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 1
-    print("format: hhi/1")
+    cache = InvariantCache(path)
+    print("format: %s" % CACHE_FORMAT)
     print("records: %d" % len(cache))
     return 0
 

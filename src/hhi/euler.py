@@ -14,15 +14,20 @@ in unit steps from the upper fractional part, and ranges that would run
 backwards contribute reciprocal factors.  Denominators are expanded by
 geometric series, which terminate because psi classes are nilpotent.
 
-For speed, everything a single subset T contributes is first collected
-in a tiny commutative algebra on two nilpotent symbols x = D(T) and
-y = psi_T, and only the resulting polynomial is expanded into boundary
-monomials; every monomial of a power of psi_T strictly contains T, so
-that expansion never needs a laminarity check against D(T) itself.
-The compact form is built on integers: with s the lcm of the age
-denominators, it feeds the indices as p*s and so carries each degree-d
-coefficient times s^d (scaled_compact_product).  The head-and-walls
-form stays on rational indices, an independent route to compare with.
+Every factor (t_a + p X)^(+-1), X nilpotent, except the head's is
+multiplied in a tiny commutative algebra on two nilpotent symbols
+x = D(T) and y = psi_T, and only the resulting polynomial is expanded
+into boundary monomials; every monomial of a power of psi_T strictly
+contains T, so that expansion never needs a laminarity check against
+D(T) itself.  A wall factor and a compact-form subset are the same
+index product (_biv_mul_index_product); weighted_class is the
+one-symbol case, with x standing for H.  The compact form is built on
+integers: with s the lcm of the age denominators, it feeds the indices
+as p*s and so carries each degree-d coefficient times s^d
+(scaled_compact_product).  The head-and-walls form stays on rational
+indices, an independent route to compare with, and its head is a
+product of ring classes (_linear, inv_linear) so that comparing it with
+weighted_class checks the algebra against the ring.
 
 weighted_class is the analogous total class for the target with all
 markings generic: a polynomial in a single nilpotent variable H standing
@@ -94,17 +99,18 @@ def _biv_mul_linear(biv, nvars, a, cx, cy, maxdeg):
 def _biv_mul_inv(biv, nvars, a, cx, cy, maxdeg):
     """Multiply by (t_a + cx*x + cy*y)^(-1), expanded geometrically."""
     tinv = LaurentPoly.var_power(nvars, a, -1)
+    tpows = [tinv]  # tpows[d] = t_a^-(d+1)
+    for _ in range(maxdeg):
+        tpows.append(tpows[-1] * tinv)
     out = {}
     for (j, k), c in biv.items():
-        base = c * tinv
-        room = maxdeg - j - k
-        for d in range(room + 1):
-            # coefficient of (-(cx*x + cy*y)/t)^d
+        for d in range(maxdeg - j - k + 1):
+            # coefficient of (-(cx*x + cy*y)/t)^d, times c/t
+            cd = c * tpows[d]
             for i in range(d + 1):
                 if (cx or i == 0) and (cy or i == d):
                     jj, kk = j + i, k + d - i
-                    w = base * ((-1) ** d * math.comb(d, i) * cx ** i * cy ** (d - i))
-                    w = w * tinv ** d if d else w
+                    w = cd * ((-1) ** d * math.comb(d, i) * cx ** i * cy ** (d - i))
                     if w:
                         s = out.get((jj, kk))
                         s = w if s is None else s + w
@@ -113,6 +119,18 @@ def _biv_mul_inv(biv, nvars, a, cx, cy, maxdeg):
                         else:
                             out.pop((jj, kk), None)
     return out
+
+
+def _biv_mul_index_product(biv, nvars, a, positives, negatives, maxdeg):
+    """Multiply by (t_a + p*(x+y)) / (t_a + p*y) for each positive index
+    p and by the reciprocal for each negative one."""
+    for p in positives:
+        biv = _biv_mul_linear(biv, nvars, a, p, p, maxdeg)
+        biv = _biv_mul_inv(biv, nvars, a, 0, p, maxdeg)
+    for p in negatives:
+        biv = _biv_mul_linear(biv, nvars, a, 0, p, maxdeg)
+        biv = _biv_mul_inv(biv, nvars, a, p, p, maxdeg)
+    return biv
 
 
 def _psi_powers(n, nvars, tmask):
@@ -136,13 +154,6 @@ def _expand_bivariate(n, nvars, tmask, biv, psi_pows=None):
     for (j, k), c in sorted(biv.items()):
         if j + k > maxdeg or k >= len(psi_pows):
             continue
-        if j == 0 and k > 0:
-            # no D(T) factor: fall back to a ring product
-            for mono, pc in psi_pows[k].terms.items():
-                s = terms.get(mono)
-                v = pc * c
-                terms[mono] = v if s is None else s + v
-            continue
         for mono, pc in psi_pows[k].terms.items():
             if mono_degree(mono) + j > maxdeg:
                 continue
@@ -163,21 +174,7 @@ def wall_factor(n, nvars, tmask, delta_t, a):
     s = signed_index_set(delta_t - 1)
     if s.is_empty():
         return CohClass.one(n, nvars)
-    biv = _biv_one(nvars)
-    maxdeg = n - 3
-    for p in s.positives:
-        # biv *= 1 + p*x*(t_a + p*y)^(-1)
-        extra = _biv_mul_inv(biv, nvars, a, 0, p, maxdeg)
-        extra = {(j + 1, k): c * p for (j, k), c in extra.items() if j + k + 1 <= maxdeg}
-        merged = dict(biv)
-        for key, c in extra.items():
-            s0 = merged.get(key)
-            merged[key] = c if s0 is None else s0 + c
-        biv = {k: v for k, v in merged.items() if v}
-    for p in s.negatives:
-        # reciprocal factor: (t_a + p*y) * (t_a + p*(x+y))^(-1)
-        biv = _biv_mul_linear(biv, nvars, a, 0, p, maxdeg)
-        biv = _biv_mul_inv(biv, nvars, a, p, p, maxdeg)
+    biv = _biv_mul_index_product(_biv_one(nvars), nvars, a, s.positives, s.negatives, n - 3)
     return _expand_bivariate(n, nvars, tmask, biv)
 
 
@@ -239,14 +236,8 @@ def scaled_compact_product(n, nvars, deltas, prefactor_exps):
                 continue
             if biv is None:
                 biv = _biv_one(nvars)
-            for p in idx.positives:
-                p = int(p * s)
-                biv = _biv_mul_linear(biv, nvars, a, p, p, maxdeg)
-                biv = _biv_mul_inv(biv, nvars, a, 0, p, maxdeg)
-            for p in idx.negatives:
-                p = int(p * s)
-                biv = _biv_mul_linear(biv, nvars, a, 0, p, maxdeg)
-                biv = _biv_mul_inv(biv, nvars, a, p, p, maxdeg)
+            biv = _biv_mul_index_product(biv, nvars, a, [int(p * s) for p in idx.positives],
+                                         [int(p * s) for p in idx.negatives], maxdeg)
         if biv is not None:
             out = out * _expand_bivariate(n, nvars, tmask, biv)
     return out, s
@@ -309,28 +300,6 @@ class WeightedClass:
                 and (self.n, self.nvars) == (other.n, other.nvars)
                 and self.coeffs == other.coeffs)
 
-    def _mul_linear(self, a, p):
-        """Multiply by (t_a - p H)."""
-        t = LaurentPoly.var_power(self.nvars, a, 1)
-        out = {}
-        for j, c in self.coeffs.items():
-            out[j] = out.get(j, LaurentPoly.zero(self.nvars)) + c * t
-            if j + 1 <= self.n - 3:
-                out[j + 1] = out.get(j + 1, LaurentPoly.zero(self.nvars)) - c * p
-        return WeightedClass(self.n, self.nvars, out)
-
-    def _div_linear(self, a, p):
-        """Multiply by (t_a - p H)^(-1), expanded as a geometric series."""
-        tinv = LaurentPoly.var_power(self.nvars, a, -1)
-        geo = [tinv]
-        for _ in range(self.n - 3):
-            geo.append(geo[-1] * tinv * p)
-        out = {}
-        for j, c in self.coeffs.items():
-            for k in range(self.n - 2 - j):
-                out[j + k] = out.get(j + k, LaurentPoly.zero(self.nvars)) + c * geo[k]
-        return WeightedClass(self.n, self.nvars, out)
-
     def as_coh_class(self):
         """Substitute H -> psi_n, yielding a CohClass."""
         fm = full_mask(self.n)
@@ -350,12 +319,13 @@ def weighted_class(data):
     age of markings 1..n-1 minus one, of (t_a - p H)."""
     _require_admissible(data)
     n, nvars = data.n, data.N
-    out = WeightedClass(n, nvars, {0: LaurentPoly.one(nvars)})
+    # the two-symbol algebra with y unused and x standing for H
+    biv = _biv_one(nvars)
     body = list(range(1, n))
     for a in range(1, nvars + 1):
         s = signed_index_set(data.age_sum(body, a) - 1)
         for p in s.positives:
-            out = out._mul_linear(a, p)
+            biv = _biv_mul_linear(biv, nvars, a, -p, 0, n - 3)
         for p in s.negatives:
-            out = out._div_linear(a, p)
-    return out
+            biv = _biv_mul_inv(biv, nvars, a, -p, 0, n - 3)
+    return WeightedClass(n, nvars, {j: c for (j, _), c in biv.items()})

@@ -239,13 +239,6 @@ class LaurentPoly:
     def scale_div(self, c):
         return self * (rational(1) / rational(c))
 
-    def shift(self, exps):
-        """Multiply by the monomial t^exps."""
-        exps = tuple(exps)
-        out = LaurentPoly(self.nvars)
-        out.terms = {tuple(a + b for a, b in zip(e, exps)): c for e, c in self.terms.items()}
-        return out
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0)
 
@@ -256,10 +249,6 @@ class LaurentPoly:
         if list(self.terms) != [(0,) * self.nvars]:
             raise ValueError("not a constant: %s" % self)
         return self.constant_term()
-
-    def substitute_ones(self):
-        """Evaluate at t_1 = ... = t_nvars = 1."""
-        return sum(self.terms.values())
 
     def to_obj(self):
         out = []

@@ -6,7 +6,7 @@ global mu_r automorphism group); invariant_weighted does the same for
 the weighted-space model, where only a polynomial in the distinguished
 psi class survives and integration is a multinomial coefficient.
 Inadmissible monodromy data gives zero for both (the moduli space is
-empty); pass coarse=True to drop the 1/r normalization.
+empty).
 
 Cached values are exact strings in a versioned JSON file; writes go
 through a temporary file and an atomic rename.
@@ -80,13 +80,13 @@ class InvariantKey:
         return "InvariantKey(%r, psi=%s)" % (self.data, self.psi)
 
 
-def invariant_direct(key, coarse=False, cache=None):
+def invariant_direct(key, cache=None):
     """Invariant by exact integration of the compact-form Euler class."""
     data = key.data
     if not data.admissible():
         return LaurentPoly.zero(data.N)
     if cache is not None:
-        hit = cache.get(key, "direct", coarse)
+        hit = cache.get(key, "direct")
         if hit is not None:
             return hit
     # Integrate the integer class with degree-d coefficients scaled by
@@ -96,13 +96,13 @@ def invariant_direct(key, coarse=False, cache=None):
         psi = psi_marking(data.n, data.N, i) * s
         for _ in range(key.psi[i - 1]):
             cls = cls * psi
-    val = integrate(cls).scale_div(s ** (data.n - 3) * (1 if coarse else data.r))
+    val = integrate(cls).scale_div(s ** (data.n - 3) * data.r)
     if cache is not None:
-        cache.put(key, "direct", coarse, val)
+        cache.put(key, "direct", val)
     return val
 
 
-def invariant_weighted(key, coarse=False, cache=None):
+def invariant_weighted(key, cache=None):
     """Invariant for the weighted-space model: only the distinguished
     psi class appears in the total class, so the integral reduces to
     multinomial coefficients."""
@@ -110,7 +110,7 @@ def invariant_weighted(key, coarse=False, cache=None):
     if not data.admissible():
         return LaurentPoly.zero(data.N)
     if cache is not None:
-        hit = cache.get(key, "weighted", coarse)
+        hit = cache.get(key, "weighted")
         if hit is not None:
             return hit
     n = data.n
@@ -119,10 +119,9 @@ def invariant_weighted(key, coarse=False, cache=None):
         w = psi_integral(n, key.psi[:-1] + (key.psi[-1] + j,))
         if w:
             val = val + c * w
-    if not coarse:
-        val = val.scale_div(data.r)
+    val = val.scale_div(data.r)
     if cache is not None:
-        cache.put(key, "weighted", coarse, val)
+        cache.put(key, "weighted", val)
     return val
 
 
@@ -136,11 +135,12 @@ class InvariantCache:
             self.load(path)
 
     @staticmethod
-    def _record_key(key, method, coarse):
-        return "%s;method=%s;coarse=%d" % (key.cache_string(), method, 1 if coarse else 0)
+    def _record_key(key, method):
+        # "coarse=0": records of normalized values, as older files wrote them
+        return "%s;method=%s;coarse=0" % (key.cache_string(), method)
 
-    def get(self, key, method, coarse=False):
-        rec = self.records.get(self._record_key(key, method, coarse))
+    def get(self, key, method):
+        rec = self.records.get(self._record_key(key, method))
         if rec is None:
             return None
         try:
@@ -148,11 +148,11 @@ class InvariantCache:
         except ValueError as exc:
             raise ValueError("cache %s has a malformed record: %s" % (self.path, exc)) from None
 
-    def put(self, key, method, coarse, value):
-        self.records[self._record_key(key, method, coarse)] = {
+    def put(self, key, method, value):
+        self.records[self._record_key(key, method)] = {
             "key": key.canonical().to_obj(),
             "method": method,
-            "coarse": bool(coarse),
+            "coarse": False,
             "value": value.to_obj(),
         }
 

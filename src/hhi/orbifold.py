@@ -6,7 +6,6 @@ primitive r-th root of unity.  The age of element k in direction a is the
 ordinary fractional part of w_a * k / r, which lies in [0, 1).
 """
 
-import math
 from .exactnum import rational
 
 
@@ -49,11 +48,6 @@ class OrbifoldData:
         for i in markings:
             total = total + self.age(i, a)
         return total
-
-    def subset_order(self, markings):
-        """Order of the element obtained by merging the given markings."""
-        s = sum(self.elements[i - 1] for i in markings) % self.r
-        return self.r // math.gcd(self.r, s)
 
     def merged_element(self, markings):
         return sum(self.elements[i - 1] for i in markings) % self.r

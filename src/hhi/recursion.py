@@ -85,21 +85,6 @@ def tooth_admissible(data, markings):
     return total == 1
 
 
-def tooth_factor(data, markings):
-    """Equivariant weight of a tooth: the Laurent monomial
-    prod over directions a of t_a^(-ceil(delta)) (delta - 1)! where
-    delta is the tooth's age sum in direction a.  A direction with age
-    sum exactly zero has p = 0 as its only index, a trivial factor."""
-    out = LaurentPoly.one(data.N)
-    for a in range(1, data.N + 1):
-        delta = data.age_sum(markings, a)
-        if delta == 0:
-            continue
-        out = out * LaurentPoly.var_power(data.N, a, -math.ceil(delta),
-                                          frac_factorial(delta - 1))
-    return out
-
-
 def tooth_factor_plain(data, markings):
     """The t-free tooth factor of the unrefined recursion: the product,
     over directions, of the positive indices of the age sum minus one

@@ -40,6 +40,23 @@ def test_invariant_coarse_and_float(capsys):
     assert lines[1] == "direct ~ 1"
 
 
+@pytest.mark.parametrize("method,plain,coarse", [
+    ("weighted", ["weighted = -8/81"], ["weighted = -8/27"]),
+    ("comb", ["comb = -1/27"], ["comb = -1/9"]),
+    ("all", ["comb = -1/27", "direct = -1/27", "MATCH"],
+     ["comb = -1/9", "direct = -1/9", "MATCH"]),
+])
+def test_invariant_coarse_methods(capsys, method, plain, coarse):
+    """--coarse multiplies each method's value by r once; the default
+    cache file holds the normalized values, so coarse and plain calls
+    share its records."""
+    args = ("invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1", "--method", method)
+    for flags, want in (((), plain), (("--coarse",), coarse), (("--coarse",), coarse),
+                        ((), plain), (("--coarse", "--no-cache"), coarse)):
+        rc, out, _ = run(capsys, *args, *flags)
+        assert rc == 0 and out.splitlines() == want, flags
+
+
 def test_invariant_json_output(capsys):
     rc, out, _ = run(capsys, "invariant", "-r", "3", "-w", "1,1,1",
                      "-k", "1,1,1,1,1,1", "--psi", "0,0,0,0,0,1",

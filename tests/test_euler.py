@@ -52,6 +52,37 @@ def test_wall_factor_two_indices():
     assert wall_factor(n, nvars, tmask, rational(3), 1) == f
 
 
+def _ring_index_product(n, nvars, tmask, a, delta):
+    """(t_a + p psi_T + p D(T)) (t_a + p psi_T)^(-1) for each positive
+    index p of delta - 1, the reciprocal for each negative one, taken
+    factor by factor in the ring with Fraction indices."""
+    psi = psi_subset(n, nvars, tmask)
+    both = psi + CohClass.generator(n, nvars, tmask)
+    t = CohClass.scalar(n, nvars, LaurentPoly.var_power(nvars, a, 1))
+    s = signed_index_set(delta - 1)
+    out = CohClass.one(n, nvars)
+    for p in s.positives:
+        out = out * (t + both * p) * inv_linear(n, nvars, a, psi * p)
+    for p in s.negatives:
+        out = out * (t + psi * p) * inv_linear(n, nvars, a, both * p)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 6), st.integers(1, 2), st.data())
+def test_wall_factor_matches_ring_product(n, nvars, data):
+    """wall_factor on raw delta_T in [-3, 4] with denominators up to 6, so
+    that negative indices occur, against the product taken in the ring."""
+    den = data.draw(st.integers(1, 6))
+    delta = rational(data.draw(st.integers(-3 * den, 4 * den)), den)
+    a = data.draw(st.integers(1, nvars))
+    body = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=n - 2,
+                              unique=True))
+    tmask = mask_of(body)
+    assert wall_factor(n, nvars, tmask, delta, a) == _ring_index_product(
+        n, nvars, tmask, a, delta)
+
+
 def test_euler_class_point():
     d = OrbifoldData(3, (1, 1, 1), (1, 1, 1))
     one = CohClass.one(3, 3)
@@ -166,12 +197,13 @@ def test_weighted_class_example():
     (t_a - (2/3) H) over the three directions."""
     d = OrbifoldData(3, (1, 1, 1), (1,) * 6)
     w = weighted_class(d)
-    expected = WeightedClass(6, 3, {0: LaurentPoly.one(3)})
-    for a in (1, 2, 3):
-        expected = expected._mul_linear(a, rational(2, 3))
+    e1 = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    e2 = LaurentPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
+    expected = WeightedClass(6, 3, {0: LaurentPoly(3, {(1, 1, 1): 1}),
+                                    1: e2 * rational(-2, 3),
+                                    2: e1 * rational(4, 9),
+                                    3: LaurentPoly.const(3, rational(-8, 27))})
     assert w == expected
-    assert w.coefficient(0) == LaurentPoly(3, {(1, 1, 1): rational(1)})
-    assert w.coefficient(3) == LaurentPoly.const(3, rational(-8, 27))
 
 
 def test_weighted_class_reciprocal_factor():
@@ -219,21 +251,13 @@ def test_signed_ranges_in_weighted_class_match_head_factor():
 
 
 def _ring_compact_product(n, nvars, deltas, prefactor_exps):
-    """compact_product's product taken factor by factor in the ring, with
-    Fraction indices p: (t_a + p psi_T + p D(T)) (t_a + p psi_T)^(-1)
-    for each positive index, the reciprocal for each negative one."""
+    """compact_product's product taken in the ring: the prefactor times
+    _ring_index_product of every subset T and direction a."""
     out = CohClass.scalar(n, nvars, LaurentPoly(nvars, {tuple(prefactor_exps): 1}))
     for tmask in range(1, full_mask(n) + 1):
-        psi = psi_subset(n, nvars, tmask)
-        both = psi + CohClass.generator(n, nvars, tmask)
         for a in range(1, nvars + 1):
-            t = CohClass.scalar(n, nvars, LaurentPoly.var_power(nvars, a, 1))
             delta = sum(deltas[a - 1][b] for b in range(n - 1) if tmask >> b & 1)
-            s = signed_index_set(delta - 1)
-            for p in s.positives:
-                out = out * (t + both * p) * inv_linear(n, nvars, a, psi * p)
-            for p in s.negatives:
-                out = out * (t + psi * p) * inv_linear(n, nvars, a, both * p)
+            out = out * _ring_index_product(n, nvars, tmask, a, delta)
     return out
 
 

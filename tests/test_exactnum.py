@@ -117,7 +117,6 @@ def test_laurent_constant_helpers():
     t = LaurentPoly.var_power(3, 2, 4)
     with pytest.raises(ValueError):
         t.as_rational()
-    assert t.substitute_ones() == 1
 
 
 def test_laurent_mixed_nvars_rejected():

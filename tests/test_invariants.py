@@ -52,7 +52,6 @@ def test_cubic_point_value():
     third = LaurentPoly.const(3, rational(1, 3))
     assert invariant_direct(k) == third
     assert invariant_weighted(k) == third
-    assert invariant_direct(k, coarse=True) == LaurentPoly.one(3)
 
 
 def test_cubic_six_point_values():
@@ -176,12 +175,21 @@ def test_cache_round_trip(tmp_path):
 
 
 def test_cache_separates_method_and_coarse():
+    """Records are per method and hold normalized values under the
+    "coarse=0" key older files used; an unnormalized "coarse=1" record
+    from such a file is never returned."""
     cache = InvariantCache()
     k = key(3, (1, 1, 1), (1, 1, 1))
-    cache.put(k, "direct", False, LaurentPoly.const(3, rational(1, 3)))
+    cache.put(k, "direct", LaurentPoly.const(3, rational(1, 3)))
     assert cache.get(k, "weighted") is None
-    assert cache.get(k, "direct", coarse=True) is None
     assert cache.get(k, "direct") == LaurentPoly.const(3, rational(1, 3))
+    stem = "r=3;w=1,1,1;k=1,1,1;v=0,0,0;method=direct;coarse="
+    assert list(cache.records) == [stem + "0"]
+    assert cache.records[stem + "0"]["coarse"] is False
+    old = InvariantCache()
+    old.records[stem + "1"] = dict(cache.records[stem + "0"], coarse=True,
+                                   value=LaurentPoly.one(3).to_obj())
+    assert old.get(k, "direct") is None
 
 
 def test_cache_rejects_unknown_format(tmp_path):
@@ -196,7 +204,7 @@ def test_cache_save_is_atomic(tmp_path):
     path = str(tmp_path / "cache.json")
     cache = InvariantCache(path)
     k = key(3, (1, 1, 1), (1, 1, 1))
-    cache.put(k, "direct", False, LaurentPoly.const(3, rational(1, 3)))
+    cache.put(k, "direct", LaurentPoly.const(3, rational(1, 3)))
     cache.save()
     # no stray temporary files remain next to the cache
     leftovers = [f for f in os.listdir(tmp_path) if f != "cache.json"]

@@ -40,11 +40,9 @@ def test_trivial_group():
 def test_subset_order_and_merge():
     d = OrbifoldData(6, (1, 5), (2, 3, 4, 3))
     assert d.merged_element([1, 3]) == 0
-    assert d.subset_order([1, 3]) == 1
     assert d.merged_element([1, 2]) == 5
-    assert d.subset_order([1, 2]) == 6
-    assert d.subset_order([2, 4]) == 1
-    assert d.subset_order([1]) == 3
+    assert d.merged_element([2, 4]) == 0
+    assert d.merged_element([1]) == 2
 
 
 def test_admissible():

@@ -9,7 +9,7 @@ from hhi.recursion import (Series, _aut_order, c3z3_direct, c3z3_mirror,
                            c3z3_series, c3z3_weighted, comb_recursion,
                            equivariant_comb_expand, mirror_tau,
                            partitions_of_int, set_partitions, tooth_admissible,
-                           tooth_factor, tooth_factor_plain, tooth_placements)
+                           tooth_factor_plain, tooth_placements)
 
 
 def key(r, weights, elements, psi=None):
@@ -74,8 +74,6 @@ def test_tooth_never_admissible_in_one_direction():
 
 def test_tooth_factor_cubic_size_four():
     d = OrbifoldData(3, (1, 1, 1), (1,) * 7)
-    expected = LaurentPoly(3, {(-2, -2, -2): rational(1, 27)})
-    assert tooth_factor(d, range(1, 5)) == expected
     assert tooth_factor_plain(d, range(1, 5)) == rational(1, 27)
 
 
