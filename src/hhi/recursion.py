@@ -29,11 +29,12 @@ then holds term by term against the boundary-divisor integration.
 
 import itertools
 import math
-from fractions import Fraction
 
 from .exactnum import LaurentPoly, rational, frac_factorial, signed_index_set
 from .orbifold import OrbifoldData
 from .invariants import InvariantKey, invariant_weighted
+
+_RATIONAL = type(rational(0))
 
 
 def set_partitions(items):
@@ -49,16 +50,16 @@ def set_partitions(items):
         yield [[first]] + part
 
 
-def partitions_of_int(total, minpart=1):
-    """Partitions of a nonnegative integer into parts >= minpart,
-    weakly decreasing."""
+def partitions_of_int(total, minpart=1, maxpart=None):
+    """Partitions of a nonnegative integer into parts >= minpart (and
+    <= maxpart, if given), weakly decreasing."""
     if total == 0:
         yield ()
         return
-    for first in range(total, minpart - 1, -1):
-        for rest in partitions_of_int(total - first, minpart):
-            if not rest or rest[0] <= first:
-                yield (first,) + rest
+    top = total if maxpart is None else min(total, maxpart)
+    for first in range(top, minpart - 1, -1):
+        for rest in partitions_of_int(total - first, minpart, first):
+            yield (first,) + rest
 
 
 def _aut_order(parts):
@@ -288,9 +289,13 @@ def _tooth_options(key, markings):
 # The [C^3 / mu_3] series, three ways.
 
 
-def _cube_fac(m):
-    """((m - 2/3)!)^3 as an exact rational."""
-    return frac_factorial(rational(3 * m - 2, 3)) ** 3
+def _cube_facs(top):
+    """[((m - 2/3)!)^3 for m = 0..top] as exact rationals, by the running
+    product x_m = x_(m-1) ((3m - 2)/3)^3 from x_0 = ((-2/3)!)^3 = 1."""
+    facs = [rational(1)]
+    for m in range(1, top + 1):
+        facs.append(facs[-1] * rational(3 * m - 2, 3) ** 3)
+    return facs
 
 
 def c3z3_weighted(n):
@@ -303,14 +308,21 @@ def c3z3_weighted(n):
 
 def c3z3_series(lmax):
     """I_0..I_lmax by the grouped comb recursion: the invariant with
-    3l+3 age-one insertions, teeth of size 3m+1."""
+    3l+3 age-one insertions, teeth of size 3m+1.  A tooth multiset's
+    sign, automorphisms and cube factorials depend on its partition of p
+    alone, so they are multiplied out once; only the placement count
+    depends on l."""
+    facs = _cube_facs(lmax)
+    teeth = [[(parts, rational((-1) ** (p + 1), _aut_order(parts))
+               * math.prod(facs[m] for m in parts))
+              for parts in partitions_of_int(p, 1)]
+             for p in range(lmax + 1)]
     vals = []
     for ell in range(lmax + 1):
         n = 3 * ell + 3
         v = c3z3_weighted(n)
         for p in range(1, ell + 1):
-            for parts in partitions_of_int(p, 1):
-                w = rational((-1) ** (p + 1), _aut_order(parts))
+            for parts, w in teeth[p]:
                 rest = n - 1
                 count = 1
                 for m in parts:
@@ -319,7 +331,6 @@ def c3z3_series(lmax):
                         break
                     count *= math.comb(rest, 3 * m + 1)
                     rest -= 3 * m + 1
-                    w = w * _cube_fac(m)
                 if count:
                     v = v + w * count * vals[ell - p]
         vals.append(v)
@@ -331,6 +342,7 @@ def c3z3_c_coeff(p, ell):
     multinomial count of placements among 3l+2 markings."""
     if p == 0:
         return rational(1)
+    facs = _cube_facs(p)
     total = rational(0)
     for parts in partitions_of_int(p, 1):
         w = rational(1, _aut_order(parts))
@@ -339,25 +351,32 @@ def c3z3_c_coeff(p, ell):
             if rest < 3 * m + 1:
                 w = rational(0)
                 break
-            w = w * math.comb(rest, 3 * m + 1) * _cube_fac(m)
+            w = w * math.comb(rest, 3 * m + 1) * facs[m]
             rest -= 3 * m + 1
         total = total + w
     return total
 
 
 def c3z3_direct(ell):
-    """I_l in closed form: inverting the triangular recursion gives an
-    alternating sum over subsets of {0, ..., l-1} of chains of C
-    coefficients."""
-    total = frac_factorial(rational(3 * ell - 1, 3)) ** 3  # empty subset
-    for size in range(1, ell + 1):
-        for subset in itertools.combinations(range(ell), size):
-            term = rational((-1) ** size) * frac_factorial(
-                rational(3 * subset[0] - 1, 3)) ** 3
-            chain = list(subset) + [ell]
-            for x, y in zip(chain, chain[1:]):
-                term = term * c3z3_c_coeff(y - x, y)
-            total = total + term
+    """I_l in closed form.  Inverting the triangular recursion gives an
+    alternating sum over chains 0 <= x_0 < x_1 < ... < x_k = l of
+    (-1)^k F(x_0) prod_i C_{x_(i+1) - x_i, x_(i+1)}, with
+    F(x) = ((3x-1)/3)!^3, times (-1)^l / 3.  Summing the chains by their
+    first endpoint gives a DP over endpoints: G(l) = 1,
+    G(x) = -sum_{x < y <= l} C_{y-x, y} G(y), and
+    I_l = (-1)^l / 3 * sum_x F(x) G(x), in O(l^2) C coefficients."""
+    chains = [rational(0)] * ell + [rational(1)]
+    for x in range(ell - 1, -1, -1):
+        g = rational(0)
+        for y in range(x + 1, ell + 1):
+            g = g + c3z3_c_coeff(y - x, y) * chains[y]
+        chains[x] = -g
+    total = rational(0)
+    start = rational(1)  # F(0) = ((-1/3)!)^3
+    for x in range(ell + 1):
+        if x:
+            start = start * rational(3 * x - 1, 3) ** 3
+        total = total + start * chains[x]
     return total * rational((-1) ** ell, 3)
 
 
@@ -376,7 +395,7 @@ class Series:
         self.coeffs = [rational(0)] * (order + 1)
         if coeffs is not None:
             for k, c in enumerate(coeffs[:order + 1]):
-                self.coeffs[k] = rational(c) if isinstance(c, (int, Fraction)) else c
+                self.coeffs[k] = c if type(c) is _RATIONAL else rational(c)
 
     def __eq__(self, other):
         return (isinstance(other, Series) and self.order == other.order
@@ -394,13 +413,15 @@ class Series:
 
     def __mul__(self, other):
         if isinstance(other, Series):
+            nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
             out = [rational(0)] * (self.order + 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
-                for j in range(self.order + 1 - i):
-                    if other.coeffs[j]:
-                        out[i + j] = out[i + j] + a * other.coeffs[j]
+                for j, b in nonzero:
+                    if i + j > self.order:
+                        break
+                    out[i + j] = out[i + j] + a * b
             return Series(self.order, out)
         return Series(self.order, [c * other for c in self.coeffs])
 
@@ -419,12 +440,15 @@ class Series:
         return out
 
     def reverse(self):
-        """Compositional inverse; requires coeff 0 zero and coeff 1 nonzero."""
+        """Compositional inverse; requires coeff 0 zero and coeff 1 nonzero.
+        Coefficient k of the inverse fixes coefficient k of the
+        composition, which the terms above t^k do not touch, so each step
+        composes at order k only."""
         if self.coeffs[0] or not self.coeffs[1]:
             raise ValueError("reversion needs the form c1*t + O(t^2), c1 != 0")
         inv = Series(self.order, [rational(0), 1 / self.coeffs[1]])
         for k in range(2, self.order + 1):
-            err = self.compose(inv).coeffs[k]
+            err = Series(k, self.coeffs).compose(Series(k, inv.coeffs)).coeffs[k]
             inv.coeffs[k] = inv.coeffs[k] - err / self.coeffs[1]
         return inv
 
@@ -441,10 +465,9 @@ def mirror_tau(order):
     """The mirror-map coordinate change: t plus corrections in every
     degree 3k+1, with coefficient (-1)^k ((k-2/3)!)^3 / (3k+1)!."""
     tau = Series(order, [0, 1])
-    k = 1
-    while 3 * k + 1 <= order:
-        tau.coeffs[3 * k + 1] = rational((-1) ** k) * _cube_fac(k) / math.factorial(3 * k + 1)
-        k += 1
+    facs = _cube_facs((order - 1) // 3)
+    for k in range(1, len(facs)):
+        tau.coeffs[3 * k + 1] = rational((-1) ** k) * facs[k] / math.factorial(3 * k + 1)
     return tau
 
 

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -175,6 +174,23 @@ def test_series_all_methods_match(capsys):
     assert "series I_1 = -1/27" in lines
     assert "direct I_2 = 1/9" in lines
     assert "mirror I_2 = 1/9" in lines
+
+
+def test_series_all_methods_lmax_16(capsys):
+    """Every route is polynomial in l, so lmax 16 is cheap; summing the
+    closed form over all 2^l subsets takes over a minute at this size."""
+    rc, out, _ = run(capsys, "series", "--lmax", "16", "--method", "all")
+    assert rc == 0
+    lines = out.strip().splitlines()
+    assert lines[-1] == "MATCH"
+    by_route = {}
+    for line in lines[:-1]:
+        route, rest = line.split(" I_")
+        ell, value = rest.split(" = ")
+        by_route.setdefault(route, []).append((int(ell), value))
+    assert sorted(by_route) == ["direct", "mirror", "series"]
+    assert [ell for ell, _ in by_route["series"]] == list(range(17))
+    assert by_route["direct"] == by_route["series"] == by_route["mirror"]
 
 
 def test_series_float_rendering(capsys):

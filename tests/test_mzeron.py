@@ -2,7 +2,6 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational
 from hhi.mzeron import (CohClass, full_mask, integral_monomial, integrate,

@@ -1,12 +1,14 @@
+import itertools
 from collections import Counter
 
 import pytest
 
-from hhi.exactnum import LaurentPoly, rational
+from hhi.exactnum import LaurentPoly, frac_factorial, rational
 from hhi.invariants import InvariantKey, invariant_direct, invariant_weighted
 from hhi.orbifold import OrbifoldData
-from hhi.recursion import (Series, _aut_order, c3z3_direct, c3z3_mirror,
-                           c3z3_series, c3z3_weighted, comb_recursion,
+from hhi.recursion import (Series, _aut_order, _cube_facs, c3z3_c_coeff,
+                           c3z3_direct, c3z3_mirror, c3z3_series,
+                           c3z3_weighted, comb_recursion,
                            equivariant_comb_expand, mirror_tau,
                            partitions_of_int, set_partitions, tooth_admissible,
                            tooth_factor_plain, tooth_placements)
@@ -31,6 +33,21 @@ def test_partitions_of_int():
          (1, 1, 1, 1, 1)])
     assert list(partitions_of_int(5, 2)) == [(5,), (3, 2)]
     assert list(partitions_of_int(0)) == [()]
+
+
+PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
+                     176, 231, 297, 385, 490, 627]
+
+
+def test_partitions_of_int_counts_and_shape():
+    for total, count in enumerate(PARTITION_NUMBERS):
+        parts = list(partitions_of_int(total))
+        assert len(parts) == count == len(set(parts)), total
+        for minpart in (1, 2, 3):
+            for p in partitions_of_int(total, minpart):
+                assert sum(p) == total
+                assert list(p) == sorted(p, reverse=True)
+                assert all(m >= minpart for m in p)
 
 
 def test_aut_order():
@@ -152,6 +169,32 @@ def test_series_frozen_values():
     assert c3z3_series(3) == expected
 
 
+def test_cube_facs_table():
+    assert _cube_facs(12) == [frac_factorial(rational(3 * m - 2, 3)) ** 3
+                              for m in range(13)]
+    assert _cube_facs(0) == [1]
+
+
+def subset_chain_sum(ell):
+    """I_l by the closed form's alternating sum over all 2^l subsets of
+    {0, ..., l-1}, each the start of a chain of C coefficients ending at l."""
+    total = frac_factorial(rational(3 * ell - 1, 3)) ** 3  # empty subset
+    for size in range(1, ell + 1):
+        for subset in itertools.combinations(range(ell), size):
+            term = rational((-1) ** size) * frac_factorial(
+                rational(3 * subset[0] - 1, 3)) ** 3
+            chain = list(subset) + [ell]
+            for x, y in zip(chain, chain[1:]):
+                term = term * c3z3_c_coeff(y - x, y)
+            total = total + term
+    return total * rational((-1) ** ell, 3)
+
+
+def test_direct_endpoint_dp_equals_subset_sum():
+    for ell in range(9):
+        assert c3z3_direct(ell) == subset_chain_sum(ell), ell
+
+
 def test_series_three_ways_agree():
     lmax = 6
     by_recursion = c3z3_series(lmax)
@@ -208,5 +251,14 @@ def test_series_compose_and_reverse():
     assert round_trip.coeffs == [rational(0), rational(1)] + [rational(0)] * 5
     with pytest.raises(ValueError):
         Series(3, [1, 1]).compose(Series(3, [1, 1]))
+
+
+def test_series_reverse_dense_order_12():
+    f = Series(12, [0, rational(-3, 2)] + [rational((-1) ** k * (2 * k + 1), k + 3)
+                                           for k in range(2, 13)])
+    assert all(f.coeffs[1:])
+    identity = Series(12, [0, 1])
+    assert f.compose(f.reverse()) == identity
+    assert f.reverse().compose(f) == identity
     with pytest.raises(ValueError):
         Series(3, [0, 0, 1]).reverse()
