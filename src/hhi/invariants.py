@@ -18,7 +18,7 @@ import tempfile
 
 from .exactnum import LaurentPoly
 from .orbifold import OrbifoldData
-from .mzeron import integrate, psi_marking, psi_integral
+from .mzeron import CohClass, integrate, psi_marking, psi_integral
 from .euler import scaled_compact_class, weighted_class
 
 CACHE_FORMAT = "hhi/1"
@@ -81,7 +81,17 @@ class InvariantKey:
 
 
 def invariant_direct(key, cache=None):
-    """Invariant by exact integration of the compact-form Euler class."""
+    """Invariant by exact integration of the compact-form Euler class.
+
+    The class is built starting from the psi insertions (see
+    scaled_compact_product): every term then has degree at least
+    |nu| = sum of the psi exponents, and the product's truncation above
+    degree n-3 keeps of the Euler class only its degree <= n-3-|nu| part,
+    the only part the integral reads.  With no insertions the class
+    starts from one, which saves a product.  When |nu| > n-3 the
+    integrand has no part in degree n-3 and the value is zero by
+    dimension, so nothing is built.
+    """
     data = key.data
     if not data.admissible():
         return LaurentPoly.zero(data.N)
@@ -89,14 +99,19 @@ def invariant_direct(key, cache=None):
         hit = cache.get(key, "direct")
         if hit is not None:
             return hit
-    # Integrate the integer class with degree-d coefficients scaled by
-    # s^d, each psi insertion scaled by s to match, and divide once.
-    cls, s = scaled_compact_class(data)
-    for i in range(1, data.n + 1):
-        psi = psi_marking(data.n, data.N, i) * s
-        for _ in range(key.psi[i - 1]):
-            cls = cls * psi
-    val = integrate(cls).scale_div(s ** (data.n - 3) * data.r)
+    n = data.n
+    if sum(key.psi) > n - 3:
+        val = LaurentPoly.zero(data.N)
+    else:
+        start = None
+        if any(key.psi):
+            start = CohClass.one(n, data.N)
+            for i, v in enumerate(key.psi, 1):
+                start = start * psi_marking(n, data.N, i) ** v
+        # The integer class carries its degree-d coefficients (the start's
+        # included) times s^d, so one division undoes the scale.
+        cls, s = scaled_compact_class(data, start)
+        val = integrate(cls).scale_div(s ** (n - 3) * data.r)
     if cache is not None:
         cache.put(key, "direct", val)
     return val

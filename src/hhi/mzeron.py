@@ -162,37 +162,58 @@ class CohClass:
             return CohClass(self.n, self.nvars,
                             {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        # Coefficient products are summed straight into one {exp: coeff}
-        # dict per output monomial, which becomes a LaurentPoly once.  A
-        # first product is stored as is: adding it to 0 would cost a
-        # Fraction operation on the rational routes.
+        # The right factor's monomials are bucketed by degree once, so each
+        # left monomial visits only those that fit under the socle degree;
+        # the empty monomial needs no laminarity check, and a unit
+        # coefficient (None in a bucket, as for the constant term of every
+        # Euler-class factor) no products.  Coefficient products are summed
+        # straight into one {exp: coeff} dict per output monomial, which
+        # becomes a LaurentPoly once.  A first product is stored as is:
+        # adding it to 0 would cost a Fraction operation on the rational
+        # routes.
         maxdeg = self.n - 3
+        unit = LaurentPoly.one(self.nvars).terms
+        buckets = [[] for _ in range(maxdeg + 1)]
+        for m, c in other.terms.items():
+            d = mono_degree(m)
+            if d <= maxdeg:
+                buckets[d].append((m, None if c.terms == unit else c.terms.items()))
         acc = {}
-        right = [(m, mono_degree(m), c.terms.items()) for m, c in other.terms.items()]
         for m1, c1 in self.terms.items():
             room = maxdeg - mono_degree(m1)
+            if room < 0:
+                continue
             left = c1.terms.items()
-            for m2, d2, t2 in right:
-                if d2 > room:
-                    continue
-                m = merge_monomials(m1, m2)
-                if m is None:
-                    continue
-                sums = acc.get(m)
-                if sums is None:
-                    sums = acc[m] = {}
-                for e1, a in left:
-                    for e2, b in t2:
-                        e = tuple(map(add, e1, e2))
-                        prev = sums.get(e)
-                        sums[e] = a * b if prev is None else prev + a * b
+            for bucket in buckets[:room + 1]:
+                for m2, t2 in bucket:
+                    m = merge_monomials(m1, m2) if m2 else m1
+                    if m is None:
+                        continue
+                    sums = acc.get(m)
+                    if t2 is None:
+                        if sums is None:
+                            acc[m] = dict(left)
+                        else:
+                            for e, a in left:
+                                prev = sums.get(e)
+                                sums[e] = a if prev is None else prev + a
+                        continue
+                    if sums is None:
+                        sums = acc[m] = {}
+                    for e1, a in left:
+                        for e2, b in t2:
+                            e = tuple(map(add, e1, e2))
+                            prev = sums.get(e)
+                            sums[e] = a * b if prev is None else prev + a * b
         terms = {}
         for m, sums in acc.items():
-            nonzero = {e: c for e, c in sums.items() if c}
-            if nonzero:
-                poly = LaurentPoly(self.nvars)
-                poly.terms = nonzero
-                terms[m] = poly
+            if not all(sums.values()):
+                sums = {e: c for e, c in sums.items() if c}
+                if not sums:
+                    continue
+            poly = LaurentPoly(self.nvars)
+            poly.terms = sums
+            terms[m] = poly
         out = CohClass(self.n, self.nvars)
         out.terms = terms
         return out
@@ -220,14 +241,6 @@ class CohClass:
                 "coeff": self.terms[mono].to_obj(),
             })
         return out
-
-    @classmethod
-    def from_obj(cls, n, nvars, obj):
-        terms = {}
-        for item in obj:
-            mono = tuple(sorted((mask_of(f["T"]), f["exp"]) for f in item["monomial"]))
-            terms[mono] = LaurentPoly.from_obj(nvars, item["coeff"])
-        return cls(n, nvars, terms)
 
     def __repr__(self):
         if not self.terms:
@@ -339,22 +352,6 @@ def restrict_monomial(n, mono, tmask):
         if e_t - 1 - j:
             rm[node_r] = rm.get(node_r, 0) + (e_t - 1 - j)
         out.append((c, n_l, tuple(sorted(lm.items())), n_r, tuple(sorted(rm.items()))))
-    return out
-
-
-def restrict_to_boundary(c, tmask):
-    """Restrict a CohClass to the divisor D(tmask), as a list of
-    (left CohClass, right CohClass) tensor summands."""
-    out = []
-    for mono, coeff in c.terms.items():
-        d = dict(mono)
-        if tmask not in d:
-            d[tmask] = 0
-        mono2 = tuple(sorted((k, v + (1 if k == tmask else 0)) for k, v in d.items()))
-        for w, n_l, ml, n_r, mr in restrict_monomial(c.n, mono2, tmask):
-            left = CohClass(n_l, c.nvars, {ml: coeff * rational(w)})
-            right = CohClass(n_r, c.nvars, {mr: LaurentPoly.one(c.nvars)})
-            out.append((left, right))
     return out
 
 

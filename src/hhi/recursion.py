@@ -406,11 +406,6 @@ class Series:
             raise ValueError("mixed truncation orders")
         return Series(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __sub__(self, other):
-        if self.order != other.order:
-            raise ValueError("mixed truncation orders")
-        return Series(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other):
         if isinstance(other, Series):
             nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]

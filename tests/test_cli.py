@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -82,6 +83,18 @@ def test_invariant_all_notes_inapplicable_comb(capsys):
     assert rc == 0
     assert "comb recursion not applicable" in err
     assert "direct =" in out and "MATCH" not in out
+
+
+def test_invariant_zero_by_dimension_builds_nothing(capsys):
+    """Seven psi insertions exceed the dimension 6 of the nine-point
+    space: the answer is zero, found without building the Euler class."""
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "invariant", "--method", "direct", "--no-cache",
+                     "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1,1,1,1",
+                     "--psi", "0,0,0,0,0,0,0,0,7")
+    assert rc == 0
+    assert out.strip() == "direct = 0"
+    assert time.perf_counter() - t0 < 5
 
 
 def test_invariant_inadmissible_prints_zero(capsys):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational, signed_index_set
 from hhi.euler import (WeightedClass, compact_product, euler_class_compact,
-                       euler_class_mainthm, inv_linear, wall_factor,
-                       weighted_class)
+                       euler_class_mainthm, inv_linear, scaled_compact_product,
+                       unscale, wall_factor, weighted_class)
 from hhi.invariants import InvariantKey, invariant_direct
 from hhi.mzeron import (CohClass, full_mask, integrate, mask_of, psi_marking,
                         psi_subset)
@@ -276,6 +276,29 @@ def test_compact_product_matches_fraction_ring_product(n, nvars, data):
         n, nvars, deltas, pref)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(4, 6), st.integers(1, 2), st.data())
+def test_compact_product_from_start_is_start_times_product(n, nvars, data):
+    """Starting the build from a class of degree >= k, which builds the
+    factors only up to degree n-3-k, gives that class times the whole
+    product."""
+    entry = st.builds(rational, st.integers(-4, 8), st.integers(1, 6))
+    deltas = [data.draw(st.lists(entry, min_size=n - 1, max_size=n - 1))
+              for _ in range(nvars)]
+    pref = data.draw(st.lists(st.integers(-2, 2), min_size=nvars, max_size=nvars))
+    start = CohClass.zero(n, nvars)
+    k = data.draw(st.integers(0, n - 3))
+    for _ in range(data.draw(st.integers(1, 3))):
+        term = CohClass.scalar(n, nvars, data.draw(st.integers(1, 5)))
+        for _ in range(k + data.draw(st.integers(0, 1))):
+            mask = data.draw(st.integers(1, full_mask(n)))
+            term = term * data.draw(st.sampled_from([
+                CohClass.generator(n, nvars, mask), psi_subset(n, nvars, mask)]))
+        start = start + term
+    assert unscale(*scaled_compact_product(n, nvars, deltas, pref, start)) == (
+        start * compact_product(n, nvars, deltas, pref))
+
+
 def test_compact_product_mixed_denominators_fixed_case():
     """Denominators 2, 3 and 5 in one direction (scale 30), integers and
     a negative entry in the other."""
@@ -292,15 +315,37 @@ def test_compact_product_mixed_denominators_fixed_case():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 6), st.data())
 def test_direct_invariant_matches_mainthm_integral(r, data):
-    """invariant_direct (integer-scaled compact class, scaled psi
+    """invariant_direct (integer-scaled compact class built from the psi
     insertions, one division) against the head-and-walls class in
-    Fraction arithmetic, integrated and divided by r."""
+    Fraction arithmetic times the insertions, integrated and divided by
+    r.  Psi may sit at any marking, up to n-1 of them in all: beyond
+    n-3 the value is zero by dimension."""
     nvars = data.draw(st.integers(1, 3))
     weights = data.draw(st.lists(st.integers(1, r - 1), min_size=nvars, max_size=nvars))
     n = data.draw(st.integers(3, 6))
     body = data.draw(st.lists(st.integers(0, r - 1), min_size=n - 1, max_size=n - 1))
-    nu = data.draw(st.integers(0, 2))
     d = OrbifoldData(r, weights, body + [(-sum(body)) % r])
-    psi_n = psi_marking(n, nvars, n)
-    expected = integrate(euler_class_mainthm(d) * psi_n ** nu).scale_div(r)
-    assert invariant_direct(InvariantKey(d, (0,) * (n - 1) + (nu,))) == expected
+    total = data.draw(st.integers(0, n - 1))
+    psi = [0] * n
+    for i in data.draw(st.lists(st.integers(0, n - 1), min_size=total, max_size=total)):
+        psi[i] += 1
+    insertions = CohClass.one(n, nvars)
+    for i, v in enumerate(psi, 1):
+        insertions = insertions * psi_marking(n, nvars, i) ** v
+    expected = integrate(euler_class_mainthm(d) * insertions).scale_div(r)
+    if total > n - 3:
+        assert expected.is_zero()
+    assert invariant_direct(InvariantKey(d, psi)) == expected
+
+
+@pytest.mark.parametrize("psi,expected", [
+    ((1, 0, 0, 0, 0, 0, 1), {(0, 0, 2): rational(1, 4), (0, 1, 1): rational(7, 8),
+                             (1, 0, 1): rational(7, 8), (1, 1, 0): rational(3, 4)}),
+    ((2, 2, 0, 0, 0, 0, 1), {}),
+])
+def test_direct_invariant_frozen_psi_at_two_markings(psi, expected):
+    """Seven markings on [C^3/mu_4] with weights (1,1,2) and psi at a body
+    marking as well as the distinguished one: values recorded from the
+    build that multiplied the insertions into the whole class."""
+    d = OrbifoldData(4, (1, 1, 2), (1, 1, 1, 1, 1, 1, 2))
+    assert invariant_direct(InvariantKey(d, psi)) == LaurentPoly(3, expected)

@@ -2,12 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational
 from hhi.mzeron import (CohClass, full_mask, integral_monomial, integrate,
-                        mask_of, markings_of, merge_monomials, psi_integral,
-                        psi_marking, psi_subset, restrict_monomial,
-                        restrict_to_boundary)
+                        mask_of, markings_of, merge_monomials, mono_degree,
+                        psi_integral, psi_marking, psi_subset,
+                        restrict_monomial)
 
 
 def D(n, *markings):
@@ -125,19 +126,15 @@ def test_restrict_monomial_self_power_splits_binomially():
 
 
 def test_restrict_to_boundary_excess_is_sum_of_node_psis():
-    """Pulling D(T) back to its own divisor gives -psi' - psi''."""
+    """Pulling D(T) back to its own divisor gives -psi' - psi'': D(T)^2
+    restricts to one node psi on either side of the node."""
     n = 6
     tmask = mask_of([1, 2, 3])
-    pieces = restrict_to_boundary(CohClass.generator(n, 1, tmask), tmask)
-    got = set()
-    for left, right in pieces:
-        [(ml, cl)] = left.terms.items()
-        [(mr, cr)] = right.terms.items()
-        got.add((ml, cl.as_rational(), mr, cr.as_rational()))
-    assert got == {
-        (((full_mask(4), 1),), rational(1), (), rational(1)),
-        ((), rational(1), ((1 << 2, 1),), rational(1)),
-    }
+    pieces = restrict_monomial(n, ((tmask, 2),), tmask)
+    assert sorted(pieces) == sorted([
+        (1, 4, ((full_mask(4), 1),), 4, ()),
+        (1, 4, (), 4, ((1 << 2, 1),)),
+    ])
 
 
 def laminar_monomials(n, degree):
@@ -269,7 +266,81 @@ def test_integral_relabeling_invariance(n):
 
 
 def test_serialization_round_trip():
+    """to_obj lists the monomials in sorted order, markings 1-based, with
+    exact coefficient strings."""
     n = 5
     c = (D(n, 1, 2) * D(n, 1, 2, 3)) + D(n, 4) * D(n, 4) * rational(3, 7)
-    c2 = CohClass.from_obj(n, 1, c.to_obj())
-    assert c2 == c
+    assert c.to_obj() == [
+        {"monomial": [{"T": [1, 2], "exp": 1}, {"T": [1, 2, 3], "exp": 1}],
+         "coeff": [{"t_exp": [0], "coeff": "1"}]},
+        {"monomial": [{"T": [4], "exp": 2}],
+         "coeff": [{"t_exp": [0], "coeff": "3/7"}]},
+    ]
+
+
+def naive_product(x, y):
+    """The ring product by its definition: every pair of monomials,
+    merged by merge_monomials and truncated above degree n-3."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            if mono_degree(m1) + mono_degree(m2) > x.n - 3:
+                continue
+            m = merge_monomials(m1, m2)
+            if m is not None:
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return CohClass(x.n, x.nvars, out)
+
+
+@st.composite
+def ring_classes(draw, n, nvars):
+    """A sum of a few terms, each a Laurent coefficient (one, or int or
+    Fraction entries) times a product of generators and psi classes,
+    built with naive_product.  Sometimes a monomial above degree n-3 is
+    added raw, as the constructor allows."""
+    fm = full_mask(n)
+    factor = st.one_of(
+        st.integers(1, fm).map(lambda m: CohClass.generator(n, nvars, m)),
+        st.integers(1, n).map(lambda i: psi_marking(n, nvars, i)),
+        st.integers(1, fm).map(lambda m: psi_subset(n, nvars, m)))
+    entry = st.one_of(st.integers(-3, 3),
+                      st.builds(rational, st.integers(-3, 3), st.integers(1, 4)))
+    coeff = st.one_of(st.just({(0,) * nvars: 1}),
+                      st.dictionaries(st.tuples(*[st.integers(-1, 2)] * nvars), entry,
+                                      max_size=3))
+    total = CohClass.zero(n, nvars)
+    for _ in range(draw(st.integers(1, 3))):
+        term = CohClass.scalar(n, nvars, LaurentPoly(nvars, draw(coeff)))
+        for f in draw(st.lists(factor, max_size=n - 2)):
+            term = naive_product(term, f)
+        total = total + term
+    if draw(st.booleans()):
+        high = ((draw(st.integers(1, fm)), draw(st.integers(n - 2, n))),)
+        total = total + CohClass(n, nvars, {high: LaurentPoly.one(nvars)})
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 7), st.integers(1, 2), st.data())
+def test_product_matches_naive_product(n, nvars, data):
+    """CohClass.__mul__ (degree buckets, no merge for the empty
+    monomial, no products for a unit coefficient) equals the product by
+    definition."""
+    x = data.draw(ring_classes(n, nvars))
+    y = data.draw(ring_classes(n, nvars))
+    assert x * y == naive_product(x, y)
+    assert y * x == naive_product(y, x)
+
+
+def test_product_adds_unit_coefficient_terms():
+    """Output monomials reached both through a unit coefficient and
+    otherwise: (1 + D) * (D + 1) has 2 D, and psi_subset products sum
+    many unit-coefficient terms into one monomial."""
+    n = 6
+    one = CohClass.one(n, 2)
+    for mask in (1, mask_of([1, 2]), full_mask(n)):
+        d = CohClass.generator(n, 2, mask)
+        assert (one + d) * (d + one) == naive_product(one + d, d + one)
+        assert ((one + d) * (d + one)).terms[((mask, 1),)] == LaurentPoly.const(2, 2)
+    psi = psi_subset(n, 2, mask_of([1]))
+    assert (psi + one) * (psi + one) == naive_product(psi + one, psi + one)
