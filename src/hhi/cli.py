@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .exactnum import LaurentPoly, rat_to_str
+from .exactnum import LaurentPoly, rat_to_str, rational
 from .orbifold import OrbifoldData
 from .euler import euler_class_mainthm, euler_class_compact, weighted_class
 from .invariants import (CACHE_FORMAT, InvariantKey, InvariantCache, invariant_direct,
@@ -175,15 +175,18 @@ def cmd_euler(args):
 
 def cmd_weighted(args):
     w = weighted_class(_make_key(args).data)
-    obj = {str(j): w.coefficient(j).to_obj() for j in sorted(w.coeffs)}
+    obj = {str(j): c.to_obj() for j, c in sorted(w.items())}
     print(json.dumps(obj, sort_keys=True))
     return 0
 
 
-def cmd_series(args):
+def _check_lmax(args):
     if args.lmax < 0:
-        sys.stderr.write("error: --lmax must be nonnegative\n")
-        return 1
+        raise ValueError("--lmax must be nonnegative")
+
+
+def cmd_series(args):
+    _check_lmax(args)
     results = {}
     if args.method in ("series", "all"):
         results["series"] = c3z3_series(args.lmax)
@@ -201,6 +204,7 @@ def cmd_series(args):
 
 
 def cmd_check(args):
+    _check_lmax(args)
     failures = 0
 
     def report(name, ok):
@@ -210,7 +214,6 @@ def cmd_check(args):
             failures += 1
 
     base = InvariantKey(OrbifoldData(3, (1, 1, 1), (1, 1, 1)), (0, 0, 0))
-    from .exactnum import rational
     report("base invariant 1/3",
            invariant_direct(base) == LaurentPoly.const(3, rational(1, 3)))
     vals = c3z3_series(args.lmax)

@@ -14,16 +14,20 @@ in unit steps from the upper fractional part, and ranges that would run
 backwards contribute reciprocal factors.  Denominators are expanded by
 geometric series, which terminate because psi classes are nilpotent.
 
-Every factor (t_a + p X)^(+-1), X nilpotent, except the head's is
-multiplied in a tiny commutative algebra on two nilpotent symbols
-x = D(T) and y = psi_T, and only the resulting polynomial is expanded
-into boundary monomials; every monomial of a power of psi_T strictly
-contains T, so that expansion never needs a laminarity check against
-D(T) itself.  A wall factor and a compact-form subset are the same
-index product (_biv_mul_index_product); weighted_class is the
-one-symbol case, with x standing for H.  The compact form is built on
-integers: with s the lcm of the age denominators, it feeds the indices
-as p*s and so carries each degree-d coefficient times s^d
+Every factor except the head's is multiplied in a tiny commutative
+algebra on two nilpotent symbols x = D(T) and y = psi_T, with one
+truncated product (_biv_mul), and only the resulting polynomial is
+expanded into boundary monomials; every monomial of a power of psi_T
+strictly contains T, so that expansion never needs a laminarity check
+against D(T) itself.  An index factor (t_a + p(x+y)) / (t_a + p y) is
+homogeneous of degree 0 in (t_a, x, y), so in u = x/t_a, v = y/t_a it
+is a polynomial with plain number coefficients (_index_product); one
+lift (_lift) attaches t_a^(-j-k) to the coefficient of x^j y^k, and the
+directions are then multiplied with the same product.  A wall factor
+and a compact-form subset are the same index product; weighted_class
+is the one-symbol case, with x standing for H.  The compact form is
+built on integers: with s the lcm of the age denominators, it feeds the
+indices as p*s and so carries each degree-d coefficient times s^d
 (scaled_compact_product).  The head-and-walls form stays on rational
 indices, an independent route to compare with, and its head is a
 product of ring classes (_linear, inv_linear) so that comparing it with
@@ -31,12 +35,13 @@ weighted_class checks the algebra against the ring.
 
 weighted_class is the analogous total class for the target with all
 markings generic: a polynomial in a single nilpotent variable H standing
-for the psi class at the distinguished marking.
+for the psi class at the distinguished marking, as a dict {j: coefficient
+of H^j}.
 """
 
 import math
 
-from .exactnum import LaurentPoly, rational, signed_index_set
+from .exactnum import LaurentPoly, signed_index_set
 from .mzeron import CohClass, full_mask, markings_of, mono_degree, psi_subset
 
 
@@ -64,73 +69,44 @@ def _linear(n, nvars, a, p, nilp):
 
 
 # ---------------------------------------------------------------------------
-# The two-symbol working algebra: dicts (j, k) -> LaurentPoly standing for
-# sum of c_{jk} x^j y^k with x, y nilpotent and terms of total degree
-# beyond maxdeg discarded.
+# The two-symbol working algebra: dicts {(j, k): c} standing for the sum of
+# c x^j y^k with x, y nilpotent and terms of total degree beyond maxdeg
+# discarded.  The coefficients are ints, Fractions or LaurentPolys.
 
 
-def _biv_one(nvars):
-    return {(0, 0): LaurentPoly.one(nvars)}
-
-
-def _biv_mul_linear(biv, nvars, a, cx, cy, maxdeg):
-    """Multiply by t_a + cx*x + cy*y."""
-    t = LaurentPoly.var_power(nvars, a, 1)
+def _biv_mul(f, g, maxdeg):
+    """f * g, dropping terms above degree maxdeg and zero coefficients."""
     out = {}
-
-    def bump(j, k, c):
-        if j + k <= maxdeg and c:
-            s = out.get((j, k))
-            s = c if s is None else s + c
-            if s:
-                out[(j, k)] = s
-            else:
-                out.pop((j, k), None)
-
-    for (j, k), c in biv.items():
-        bump(j, k, c * t)
-        if cx:
-            bump(j + 1, k, c * cx)
-        if cy:
-            bump(j, k + 1, c * cy)
-    return out
+    for (j1, k1), c1 in f.items():
+        room = maxdeg - j1 - k1
+        for (j2, k2), c2 in g.items():
+            if j2 + k2 <= room:
+                jk = (j1 + j2, k1 + k2)
+                s = out.get(jk)
+                out[jk] = c1 * c2 if s is None else s + c1 * c2
+    return {jk: c for jk, c in out.items() if c}
 
 
-def _biv_mul_inv(biv, nvars, a, cx, cy, maxdeg):
-    """Multiply by (t_a + cx*x + cy*y)^(-1), expanded geometrically."""
-    tinv = LaurentPoly.var_power(nvars, a, -1)
-    tpows = [tinv]  # tpows[d] = t_a^-(d+1)
-    for _ in range(maxdeg):
-        tpows.append(tpows[-1] * tinv)
-    out = {}
-    for (j, k), c in biv.items():
-        for d in range(maxdeg - j - k + 1):
-            # coefficient of (-(cx*x + cy*y)/t)^d, times c/t
-            cd = c * tpows[d]
-            for i in range(d + 1):
-                if (cx or i == 0) and (cy or i == d):
-                    jj, kk = j + i, k + d - i
-                    w = cd * ((-1) ** d * math.comb(d, i) * cx ** i * cy ** (d - i))
-                    if w:
-                        s = out.get((jj, kk))
-                        s = w if s is None else s + w
-                        if s:
-                            out[(jj, kk)] = s
-                        else:
-                            out.pop((jj, kk), None)
-    return out
-
-
-def _biv_mul_index_product(biv, nvars, a, positives, negatives, maxdeg):
-    """Multiply by (t_a + p*(x+y)) / (t_a + p*y) for each positive index
-    p and by the reciprocal for each negative one."""
+def _index_product(positives, negatives, maxdeg):
+    """The index factors (t_a + p(x+y)) / (t_a + p y) for p in positives
+    and their reciprocals for p in negatives, in u = x/t_a, v = y/t_a:
+    1 + pu/(1 + pv) and 1 - pu/(1 + p(u+v)), plain number coefficients."""
+    out = {(0, 0): 1}
     for p in positives:
-        biv = _biv_mul_linear(biv, nvars, a, p, p, maxdeg)
-        biv = _biv_mul_inv(biv, nvars, a, 0, p, maxdeg)
+        factor = {(1, d): p * (-p) ** d for d in range(maxdeg)}
+        out = _biv_mul(out, {(0, 0): 1, **factor}, maxdeg)
     for p in negatives:
-        biv = _biv_mul_linear(biv, nvars, a, 0, p, maxdeg)
-        biv = _biv_mul_inv(biv, nvars, a, p, p, maxdeg)
-    return biv
+        factor = {(1 + i, d - i): (-p) ** (d + 1) * math.comb(d, i)
+                  for d in range(maxdeg) for i in range(d + 1)}
+        out = _biv_mul(out, {(0, 0): 1, **factor}, maxdeg)
+    return out
+
+
+def _lift(f, nvars, a, shift):
+    """Back from u = x/t_a, v = y/t_a: the coefficient of x^j y^k gains
+    the factor t_a^(shift - j - k)."""
+    return {(j, k): LaurentPoly.var_power(nvars, a, shift - j - k, c)
+            for (j, k), c in f.items()}
 
 
 def _psi_powers(n, nvars, tmask, maxdeg):
@@ -168,10 +144,10 @@ def _expand_bivariate(n, nvars, tmask, biv, maxdeg):
 def wall_factor(n, nvars, tmask, delta_t, a):
     """Product over p in the signed index set of delta_t - 1 of
     (1 + p D(T) / (t_a + p psi_T)), as a CohClass."""
-    s = signed_index_set(delta_t - 1)
-    if s.is_empty():
+    positives, negatives = signed_index_set(delta_t - 1)
+    if not positives and not negatives:
         return CohClass.one(n, nvars)
-    biv = _biv_mul_index_product(_biv_one(nvars), nvars, a, s.positives, s.negatives, n - 3)
+    biv = _lift(_index_product(positives, negatives, n - 3), nvars, a, 0)
     return _expand_bivariate(n, nvars, tmask, biv, n - 3)
 
 
@@ -184,10 +160,10 @@ def euler_class_mainthm(data):
     out = CohClass.one(n, nvars)
     body = list(range(1, n))
     for a in range(1, nvars + 1):
-        s = signed_index_set(data.age_sum(body, a) - 1)
-        for p in s.positives:
+        positives, negatives = signed_index_set(data.age_sum(body, a) - 1)
+        for p in positives:
             out = out * _linear(n, nvars, a, -p, psi_n)
-        for p in s.negatives:
+        for p in negatives:
             out = out * inv_linear(n, nvars, a, -psi_n * p)
     for tmask in range(1, fm + 1):
         if not 2 <= tmask.bit_count() <= n - 2:
@@ -243,13 +219,12 @@ def scaled_compact_product(n, nvars, deltas, prefactor_exps, start=None):
         biv = None
         for a in range(1, nvars + 1):
             delta_t = sum(deltas[a - 1][b] for b in range(n - 1) if tmask >> b & 1)
-            idx = signed_index_set(delta_t - 1)
-            if idx.is_empty():
+            positives, negatives = signed_index_set(delta_t - 1)
+            if not positives and not negatives:
                 continue
-            if biv is None:
-                biv = _biv_one(nvars)
-            biv = _biv_mul_index_product(biv, nvars, a, [int(p * s) for p in idx.positives],
-                                         [int(p * s) for p in idx.negatives], maxdeg)
+            f = _lift(_index_product([int(p * s) for p in positives],
+                                     [int(p * s) for p in negatives], maxdeg), nvars, a, 0)
+            biv = f if biv is None else _biv_mul(biv, f, maxdeg)
         if biv is not None:
             out = out * _expand_bivariate(n, nvars, tmask, biv, maxdeg)
     return out, s
@@ -289,56 +264,23 @@ def euler_class_compact(data):
     return unscale(*scaled_compact_class(data))
 
 
-class WeightedClass:
-    """Total class for the weighted-space target, as a polynomial in a
-    nilpotent variable H (the psi class at the distinguished marking)
-    with Laurent coefficients, truncated above H^(n-3)."""
-
-    __slots__ = ("n", "nvars", "coeffs")
-
-    def __init__(self, n, nvars, coeffs=None):
-        self.n = n
-        self.nvars = nvars
-        self.coeffs = {}
-        if coeffs:
-            for j, c in coeffs.items():
-                if c and j <= n - 3:
-                    self.coeffs[j] = c
-
-    def coefficient(self, j):
-        return self.coeffs.get(j, LaurentPoly.zero(self.nvars))
-
-    def __eq__(self, other):
-        return (isinstance(other, WeightedClass)
-                and (self.n, self.nvars) == (other.n, other.nvars)
-                and self.coeffs == other.coeffs)
-
-    def as_coh_class(self):
-        """Substitute H -> psi_n, yielding a CohClass."""
-        fm = full_mask(self.n)
-        terms = {}
-        for j, c in self.coeffs.items():
-            mono = () if j == 0 else ((fm, j),)
-            terms[mono] = c * rational((-1) ** j)
-        return CohClass(self.n, self.nvars, terms)
-
-    def __repr__(self):
-        return "WeightedClass[n=%d] %s" % (
-            self.n, {j: str(c) for j, c in sorted(self.coeffs.items())})
-
-
 def weighted_class(data):
     """Product over directions a and the signed index set of the total
-    age of markings 1..n-1 minus one, of (t_a - p H)."""
+    age of markings 1..n-1 minus one, of (t_a - p H)^(+-1), H the psi
+    class at the distinguished marking, as {j: Laurent coefficient of
+    H^j} with zero coefficients and terms above H^(n-3) left out."""
     _require_admissible(data)
     n, nvars = data.n, data.N
-    # the two-symbol algebra with y unused and x standing for H
-    biv = _biv_one(nvars)
+    # the two-symbol algebra with y unused and x standing for H:
+    # (t_a - pH)^(+-1) = t_a^(+-1) (1 - pu)^(+-1), u = H/t_a
+    out = {(0, 0): LaurentPoly.one(nvars)}
     body = list(range(1, n))
     for a in range(1, nvars + 1):
-        s = signed_index_set(data.age_sum(body, a) - 1)
-        for p in s.positives:
-            biv = _biv_mul_linear(biv, nvars, a, -p, 0, n - 3)
-        for p in s.negatives:
-            biv = _biv_mul_inv(biv, nvars, a, -p, 0, n - 3)
-    return WeightedClass(n, nvars, {j: c for (j, _), c in biv.items()})
+        positives, negatives = signed_index_set(data.age_sum(body, a) - 1)
+        f = {(0, 0): 1}
+        for p in positives:
+            f = _biv_mul(f, {(0, 0): 1, (1, 0): -p}, n - 3)
+        for p in negatives:
+            f = _biv_mul(f, {(d, 0): p ** d for d in range(n - 2)}, n - 3)
+        out = _biv_mul(out, _lift(f, nvars, a, len(positives) - len(negatives)), n - 3)
+    return {j: c for (j, _), c in out.items()}

@@ -10,7 +10,7 @@ identically, so code elsewhere never needs to care which one it holds.
 The fractional-part convention used throughout is the *upper* one:
 frac_unit(x) = x - ceil(x) + 1, which lands in (0, 1] and equals 1 on
 integers.  Products indexed "from frac_unit(x) up to x in integer steps"
-are encoded by SignedIndexSet, which also gives a meaning to the empty
+are encoded by signed_index_set, which also gives a meaning to the empty
 and "inverted" ranges that occur when x <= 0.
 """
 
@@ -55,42 +55,18 @@ def frac_unit(x):
     return x - math.ceil(x) + 1
 
 
-class SignedIndexSet:
-    """The index set of the product "p runs from frac_unit(x) to x".
+def signed_index_set(x):
+    """The index set of the product "p runs from frac_unit(x) to x", as
+    (positives, negatives).
 
     positives holds {p : 0 < p <= x, p = x mod 1}; these indices occur in
     the numerator.  negatives holds {p : x < p <= 0, p = x mod 1}; these
     occur in the denominator (the product range ran "backwards").  For
     -1 < x <= 0 both parts are empty and the product is 1.
     """
-
-    def __init__(self, x):
-        x = rational(x)
-        self.x = x
-        f = frac_unit(x)
-        self.positives = []
-        self.negatives = []
-        if x > 0:
-            p = f
-            while p <= x:
-                self.positives.append(p)
-                p = p + 1
-        elif x <= -1:
-            # indices strictly between x and f, i.e. x+1, x+2, ..., f-1 <= 0
-            p = x + 1
-            while p <= f - 1:
-                self.negatives.append(p)
-                p = p + 1
-
-    def is_empty(self):
-        return not self.positives and not self.negatives
-
-    def __repr__(self):
-        return "SignedIndexSet(x=%s, +%s, -%s)" % (self.x, self.positives, self.negatives)
-
-
-def signed_index_set(x):
-    return SignedIndexSet(x)
+    x = rational(x)
+    c = math.ceil(x)  # frac_unit(x) = x - c + 1
+    return [x - c + 1 + i for i in range(c)], [x + 1 + i for i in range(-c)]
 
 
 def frac_factorial(x):
@@ -99,11 +75,11 @@ def frac_factorial(x):
     For x a negative integer the denominator contains 0, so the value is
     undefined; raise ZeroDivisionError to match the pole of Gamma.
     """
-    s = SignedIndexSet(x)
+    positives, negatives = signed_index_set(x)
     val = rational(1)
-    for p in s.positives:
+    for p in positives:
         val = val * p
-    for p in s.negatives:
+    for p in negatives:
         if p == 0:
             raise ZeroDivisionError("factorial pole at negative integer %s" % x)
         val = val / p

@@ -130,7 +130,7 @@ def invariant_weighted(key, cache=None):
             return hit
     n = data.n
     val = LaurentPoly.zero(data.N)
-    for j, c in weighted_class(data).coeffs.items():
+    for j, c in weighted_class(data).items():
         w = psi_integral(n, key.psi[:-1] + (key.psi[-1] + j,))
         if w:
             val = val + c * w

@@ -253,13 +253,8 @@ class CohClass:
         return "CohClass[n=%d] " % self.n + "  +  ".join(bits)
 
 
-def psi_subset(n, nvars, mask, complement=False):
-    """psi_T = sum of D(S) over S strictly containing T (zero for the full set).
-
-    With complement=True, return psi of the complementary side instead:
-    -D(T) - psi_T, which restricts to the node's psi class on the
-    T-component of the divisor D(T).
-    """
+def psi_subset(n, nvars, mask):
+    """psi_T = sum of D(S) over S strictly containing T (zero for the full set)."""
     fm = full_mask(n)
     if not (0 < mask <= fm):
         raise ValueError("bad subset mask")
@@ -271,10 +266,7 @@ def psi_subset(n, nvars, mask, complement=False):
         while u:
             terms[(((mask | u), 1),)] = one
             u = (u - 1) & comp
-    psi = CohClass(n, nvars, terms)
-    if complement:
-        return -CohClass.generator(n, nvars, mask) - psi
-    return psi
+    return CohClass(n, nvars, terms)
 
 
 def psi_marking(n, nvars, i):

@@ -92,7 +92,7 @@ def tooth_factor_plain(data, markings):
     (an empty product for a direction with age sum in [0, 1))."""
     out = rational(1)
     for a in range(1, data.N + 1):
-        for p in signed_index_set(data.age_sum(markings, a) - 1).positives:
+        for p in signed_index_set(data.age_sum(markings, a) - 1)[0]:
             out = out * p
     return out
 
@@ -161,9 +161,7 @@ def tooth_placements(key):
                 yield from fill(j, tuple(y - x for x, y in zip(c, left)), chosen + [c])
 
     for chosen, left in fill(0, tuple(mults), []):
-        den = math.prod(math.factorial(x) for c in chosen + [left] for x in c)
-        for c in set(chosen):
-            den *= math.factorial(chosen.count(c))
+        den = math.prod(math.factorial(x) for c in chosen + [left] for x in c) * _aut_order(chosen)
         at = list(starts)
         teeth = []
         for c in chosen:
@@ -265,7 +263,7 @@ def _tooth_options(key, markings):
     for a in range(1, nvars + 1):
         delta = data.age_sum(markings, a)
         shift[a - 1] = math.floor(delta)
-        for p in signed_index_set(delta - 1).positives:
+        for p in signed_index_set(delta - 1)[0]:
             values.append(LaurentPoly.var_power(nvars, a, -1, p))
     if len(values) <= l0:
         return []

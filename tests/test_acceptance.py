@@ -22,6 +22,13 @@ def _report(name, t0):
     print("%s: PASS (%.1fs)" % (name, time.time() - t0))
 
 
+def weighted_as_coh_class(w, n, nvars):
+    """Substitute H -> psi_n in weighted_class's {j: coefficient of H^j}."""
+    psi_n = psi_marking(n, nvars, n)
+    return sum((CohClass.scalar(n, nvars, c) * psi_n ** j for j, c in w.items()),
+               CohClass.zero(n, nvars))
+
+
 def _laminar_probes(n, need):
     """All degree-`need` laminar monomials on the n-marked space."""
     masks = list(range(1, full_mask(n) + 1))
@@ -175,7 +182,7 @@ def test_criterion_6_wall_reconstruction():
              OrbifoldData(3, (1, 1, 1), (1,) * 6 + (0,)))
     for data in cases:
         n, nvars = data.n, data.N
-        cls = weighted_class(data).as_coh_class()
+        cls = weighted_as_coh_class(weighted_class(data), n, nvars)
         for tmask in range(1, full_mask(n) + 1):
             if not 2 <= tmask.bit_count() <= n - 2:
                 continue

@@ -178,6 +178,22 @@ def test_weighted_output(capsys):
     assert obj["3"] == [{"coeff": "-8/27", "t_exp": [0, 0, 0]}]
 
 
+@pytest.mark.parametrize("args,expected", [
+    (["-r", "5", "-w", "1,2,2", "-k", "1,1,3,3,2"],
+     '{"0": [{"coeff": "1", "t_exp": [1, 1, 1]}], '
+     '"1": [{"coeff": "-3/5", "t_exp": [0, 1, 1]}, {"coeff": "-1/5", "t_exp": [1, 0, 1]}, '
+     '{"coeff": "-1/5", "t_exp": [1, 1, 0]}], '
+     '"2": [{"coeff": "3/25", "t_exp": [0, 0, 1]}, {"coeff": "3/25", "t_exp": [0, 1, 0]}, '
+     '{"coeff": "1/25", "t_exp": [1, 0, 0]}]}\n'),
+    (["-r", "2", "-w", "1", "-k", "0,0,0,0"], '{"0": [{"coeff": "1", "t_exp": [-1]}]}\n'),
+])
+def test_weighted_output_frozen(capsys, args, expected):
+    """Full JSON of the weighted class, recorded from the build that
+    multiplied Laurent coefficients factor by factor."""
+    rc, out, err = run(capsys, "weighted", *args)
+    assert (rc, out, err) == (0, expected, "")
+
+
 def test_series_all_methods_match(capsys):
     rc, out, _ = run(capsys, "series", "--lmax", "2", "--method", "all")
     assert rc == 0
@@ -212,9 +228,12 @@ def test_series_float_rendering(capsys):
     assert out.strip() == "series I_0 = 1/3 ~ 0.333333333333"
 
 
-def test_series_negative_lmax_exits_one(capsys):
-    rc, _, _ = run(capsys, "series", "--lmax", "-1")
+@pytest.mark.parametrize("command", ["series", "check"])
+def test_series_negative_lmax_exits_one(capsys, command):
+    rc, out, err = run(capsys, command, "--lmax", "-1")
     assert rc == 1
+    assert out == ""
+    assert err == "error: --lmax must be nonnegative\n"
 
 
 def test_check_passes(capsys):

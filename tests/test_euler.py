@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational, signed_index_set
-from hhi.euler import (WeightedClass, compact_product, euler_class_compact,
+from hhi.euler import (_biv_mul, _index_product, compact_product, euler_class_compact,
                        euler_class_mainthm, inv_linear, scaled_compact_product,
                        unscale, wall_factor, weighted_class)
 from hhi.invariants import InvariantKey, invariant_direct
@@ -59,11 +59,11 @@ def _ring_index_product(n, nvars, tmask, a, delta):
     psi = psi_subset(n, nvars, tmask)
     both = psi + CohClass.generator(n, nvars, tmask)
     t = CohClass.scalar(n, nvars, LaurentPoly.var_power(nvars, a, 1))
-    s = signed_index_set(delta - 1)
+    positives, negatives = signed_index_set(delta - 1)
     out = CohClass.one(n, nvars)
-    for p in s.positives:
+    for p in positives:
         out = out * (t + both * p) * inv_linear(n, nvars, a, psi * p)
-    for p in s.negatives:
+    for p in negatives:
         out = out * (t + psi * p) * inv_linear(n, nvars, a, both * p)
     return out
 
@@ -81,6 +81,20 @@ def test_wall_factor_matches_ring_product(n, nvars, data):
     tmask = mask_of(body)
     assert wall_factor(n, nvars, tmask, delta, a) == _ring_index_product(
         n, nvars, tmask, a, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_index_product_times_swapped_is_one(maxdeg, data):
+    """The factor of a positive index is the reciprocal of that of the
+    same negative index, so the index product of (P, N) times that of
+    (N, P) is 1 at every truncation degree, on int and Fraction indices."""
+    index = data.draw(st.sampled_from([
+        st.integers(-6, 6), st.builds(rational, st.integers(-12, 12), st.integers(1, 6))]))
+    pos = data.draw(st.lists(index, max_size=3))
+    neg = data.draw(st.lists(index, max_size=3))
+    assert _biv_mul(_index_product(pos, neg, maxdeg), _index_product(neg, pos, maxdeg),
+                    maxdeg) == {(0, 0): 1}
 
 
 def test_euler_class_point():
@@ -199,26 +213,23 @@ def test_weighted_class_example():
     w = weighted_class(d)
     e1 = LaurentPoly(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     e2 = LaurentPoly(3, {(1, 1, 0): 1, (1, 0, 1): 1, (0, 1, 1): 1})
-    expected = WeightedClass(6, 3, {0: LaurentPoly(3, {(1, 1, 1): 1}),
-                                    1: e2 * rational(-2, 3),
-                                    2: e1 * rational(4, 9),
-                                    3: LaurentPoly.const(3, rational(-8, 27))})
-    assert w == expected
+    assert w == {0: LaurentPoly(3, {(1, 1, 1): 1}),
+                 1: e2 * rational(-2, 3),
+                 2: e1 * rational(4, 9),
+                 3: LaurentPoly.const(3, rational(-8, 27))}
 
 
 def test_weighted_class_reciprocal_factor():
     """Untwisted body markings give the index p = 0, a reciprocal 1/t_a."""
     d = OrbifoldData(2, (1,), (0, 0, 0, 0))
-    w = weighted_class(d)
-    assert w.coefficient(0) == LaurentPoly.var_power(1, 1, -1)
-    assert w.coefficient(1).is_zero()
+    assert weighted_class(d) == {0: LaurentPoly.var_power(1, 1, -1)}
 
 
-def test_weighted_class_truncation():
-    c = WeightedClass(5, 1, {0: LaurentPoly.one(1), 2: LaurentPoly.one(1),
-                             3: LaurentPoly.one(1)})
-    assert 3 not in c.coeffs
-    assert c.coefficient(2) == LaurentPoly.one(1)
+def weighted_as_coh_class(w, n, nvars):
+    """Substitute H -> psi_n in weighted_class's {j: coefficient of H^j}."""
+    psi_n = psi_marking(n, nvars, n)
+    return sum((CohClass.scalar(n, nvars, c) * psi_n ** j for j, c in w.items()),
+               CohClass.zero(n, nvars))
 
 
 def test_wall_crossing_reconstruction():
@@ -228,7 +239,7 @@ def test_wall_crossing_reconstruction():
                  OrbifoldData(4, (1, 3), (1, 2, 3, 1, 1)),
                  OrbifoldData(5, (1, 2, 2), (1, 1, 1, 1, 1))):
         n, nvars = data.n, data.N
-        cls = weighted_class(data).as_coh_class()
+        cls = weighted_as_coh_class(weighted_class(data), n, nvars)
         for tmask in range(1, full_mask(n) + 1):
             if not 2 <= tmask.bit_count() <= n - 2:
                 continue
@@ -244,10 +255,9 @@ def test_signed_ranges_in_weighted_class_match_head_factor():
     of the indices, direction by direction."""
     d = OrbifoldData(3, (1,), (1, 1, 1, 1, 2))
     w = weighted_class(d)
-    s = signed_index_set(d.age_sum([1, 2, 3, 4], 1) - 1)
-    assert s.positives == [rational(1, 3)]
-    assert w.coefficient(0) == LaurentPoly.var_power(1, 1, 1)
-    assert w.coefficient(1) == LaurentPoly.const(1, rational(-1, 3))
+    assert signed_index_set(d.age_sum([1, 2, 3, 4], 1) - 1)[0] == [rational(1, 3)]
+    assert w[0] == LaurentPoly.var_power(1, 1, 1)
+    assert w[1] == LaurentPoly.const(1, rational(-1, 3))
 
 
 def _ring_compact_product(n, nvars, deltas, prefactor_exps):

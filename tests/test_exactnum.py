@@ -33,39 +33,39 @@ def test_frac_unit_range_and_periodicity(x):
 
 
 def test_signed_index_set_examples():
-    s = signed_index_set(rational(5, 3))
-    assert s.positives == [rational(2, 3), rational(5, 3)]
-    assert s.negatives == []
-    s = signed_index_set(rational(-1))
-    assert s.positives == [] and s.negatives == [rational(0)]
-    s = signed_index_set(rational(-2, 3))
-    assert s.is_empty()
-    s = signed_index_set(rational(1, 2))
-    assert s.positives == [rational(1, 2)] and s.negatives == []
-    s = signed_index_set(rational(-7, 3))
-    assert s.positives == []
-    assert s.negatives == [rational(-4, 3), rational(-1, 3)]
+    positives, negatives = signed_index_set(rational(5, 3))
+    assert positives == [rational(2, 3), rational(5, 3)]
+    assert negatives == []
+    positives, negatives = signed_index_set(rational(-1))
+    assert positives == [] and negatives == [rational(0)]
+    positives, negatives = signed_index_set(rational(-2, 3))
+    assert not positives and not negatives
+    positives, negatives = signed_index_set(rational(1, 2))
+    assert positives == [rational(1, 2)] and negatives == []
+    positives, negatives = signed_index_set(rational(-7, 3))
+    assert positives == []
+    assert negatives == [rational(-4, 3), rational(-1, 3)]
 
 
 @given(rationals)
 def test_signed_index_set_structure(x):
-    s = signed_index_set(x)
-    for p in s.positives:
+    positives, negatives = signed_index_set(x)
+    for p in positives:
         assert 0 < p <= x and frac_unit(p) == frac_unit(x)
-    for p in s.negatives:
+    for p in negatives:
         assert x < p <= 0 and frac_unit(p) == frac_unit(x)
     if -1 < x <= 0:
-        assert s.is_empty()
+        assert not positives and not negatives
 
 
 @given(rationals)
 def test_signed_index_set_shift_by_one(x):
     """Moving the endpoint up by one adds one index (or removes a
     denominator index)."""
-    s0 = signed_index_set(x)
-    s1 = signed_index_set(x + 1)
-    n0 = len(s0.positives) - len(s0.negatives)
-    n1 = len(s1.positives) - len(s1.negatives)
+    pos0, neg0 = signed_index_set(x)
+    pos1, neg1 = signed_index_set(x + 1)
+    n0 = len(pos0) - len(neg0)
+    n1 = len(pos1) - len(neg1)
     assert n1 == n0 + 1
 
 

@@ -215,10 +215,10 @@ def test_node_psi_split_integral(n):
     D(T) * psi_complement^(|T|-2) * psi_T^(n-|T|-2) is one."""
     for size in range(2, n - 2):
         tmask = mask_of(range(1, size + 1))
-        c = CohClass.generator(n, 1, tmask)
-        c = c * psi_subset(n, 1, tmask, complement=True) ** (size - 2)
-        c = c * psi_subset(n, 1, tmask) ** (n - size - 2)
-        assert integral(c) == 1
+        d = CohClass.generator(n, 1, tmask)
+        psi_t = psi_subset(n, 1, tmask)
+        # -D(T) - psi_T restricts to the node's psi class on the T-component
+        assert integral(d * (-d - psi_t) ** (size - 2) * psi_t ** (n - size - 2)) == 1
 
 
 def test_integral_pick_order_invariance():
