@@ -9,6 +9,7 @@ replaces the exact one.
 import argparse
 import json
 import os
+import re
 import sys
 
 from .exactnum import LaurentPoly, rat_to_str, rational
@@ -22,6 +23,12 @@ DEFAULT_CACHE = "hhi-cache.json"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a comma list starting with a negative entry ("-2,1,1") is a value,
+        # as a lone negative number already is, not an option name
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d*)*$|^-\d*\.\d+$")
+
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write("error: %s\n" % message)

@@ -2,9 +2,9 @@
 
 Two independent evaluators are provided for the same class:
 
-* euler_class_mainthm assembles, direction by direction, a head factor
-  built from the psi class of the distinguished marking and one wall
-  factor per proper boundary subset;
+* euler_class_mainthm multiplies a head factor, built direction by
+  direction from the psi class of the distinguished marking, by one
+  factor per proper boundary subset (a wall);
 * euler_class_compact evaluates a single product over all nonempty
   subsets of the non-distinguished markings, against a Laurent monomial
   prefactor.
@@ -14,24 +14,27 @@ in unit steps from the upper fractional part, and ranges that would run
 backwards contribute reciprocal factors.  Denominators are expanded by
 geometric series, which terminate because psi classes are nilpotent.
 
-Every factor except the head's is multiplied in a tiny commutative
-algebra on two nilpotent symbols x = D(T) and y = psi_T, with one
-truncated product (_biv_mul), and only the resulting polynomial is
-expanded into boundary monomials; every monomial of a power of psi_T
-strictly contains T, so that expansion never needs a laminarity check
-against D(T) itself.  An index factor (t_a + p(x+y)) / (t_a + p y) is
-homogeneous of degree 0 in (t_a, x, y), so in u = x/t_a, v = y/t_a it
-is a polynomial with plain number coefficients (_index_product); one
-lift (_lift) attaches t_a^(-j-k) to the coefficient of x^j y^k, and the
-directions are then multiplied with the same product.  A wall factor
-and a compact-form subset are the same index product; weighted_class
-is the one-symbol case, with x standing for H.  The compact form is
-built on integers: with s the lcm of the age denominators, it feeds the
-indices as p*s and so carries each degree-d coefficient times s^d
-(scaled_compact_product).  The head-and-walls form stays on rational
-indices, an independent route to compare with, and its head is a
-product of ring classes (_linear, inv_linear) so that comparing it with
-weighted_class checks the algebra against the ring.
+Both forms build the factor of a subset T, across every direction, with
+one function (_subset_factor) in a tiny commutative algebra on two
+nilpotent symbols x = D(T) and y = psi_T, with one truncated product
+(_biv_mul).  An index factor (t_a + p(x+y)) / (t_a + p y) is homogeneous
+of degree 0 in (t_a, x, y), so in u = x/t_a, v = y/t_a it is a
+polynomial with plain number coefficients (_index_product); one lift
+(_lift) attaches t_a^(-j-k) to the coefficient of x^j y^k, the
+directions are multiplied with the same product, and x -> D(T),
+y -> psi_T is substituted once per subset.  Every monomial of a power
+of psi_T strictly contains T, so that substitution never needs a
+laminarity check against D(T) itself.  weighted_class is the one-symbol
+case, with x standing for H.  The forms differ in the subsets they run
+over, in head against prefactor, and in their indices: the compact form
+is built on integers (with s the lcm of the age denominators, it feeds
+the indices as p*s and so carries each degree-d coefficient times s^d;
+scaled_compact_product), while the head-and-walls form stays on
+rational indices, and its head is a product of ring classes (_linear,
+inv_linear) so that comparing it with weighted_class checks the algebra
+against the ring.  wall_factor is the factor of one direction alone, so
+multiplying wall factors in the ring checks the algebra's product of
+directions.
 
 weighted_class is the analogous total class for the target with all
 markings generic: a polynomial in a single nilpotent variable H standing
@@ -42,7 +45,7 @@ of H^j}.
 import math
 
 from .exactnum import LaurentPoly, signed_index_set
-from .mzeron import CohClass, full_mask, markings_of, mono_degree, psi_subset
+from .mzeron import CohClass, full_mask, markings_of, mono_degree, psi_marking, psi_subset
 
 
 def _require_admissible(data):
@@ -109,26 +112,25 @@ def _lift(f, nvars, a, shift):
             for (j, k), c in f.items()}
 
 
-def _psi_powers(n, nvars, tmask, maxdeg):
-    """[psi_T^0, psi_T^1, ...] up to degree maxdeg (or nilpotency)."""
-    pows = [CohClass.one(n, nvars)]
+def _subset_factor(n, nvars, tmask, index_sets, maxdeg):
+    """The factor of the subset T = tmask across every direction: the
+    index products of index_sets[a-1] = (positives, negatives), lifted in
+    direction a and multiplied in the two-symbol algebra, then x -> D(T),
+    y -> psi_T substituted once, all truncated above degree maxdeg (psi_T^k
+    is homogeneous of degree k).  None when every index set is empty."""
+    biv = None
+    for a, (positives, negatives) in enumerate(index_sets, 1):
+        if positives or negatives:
+            f = _lift(_index_product(positives, negatives, maxdeg), nvars, a, 0)
+            biv = f if biv is None else _biv_mul(biv, f, maxdeg)
+    if biv is None:
+        return None
     psi = psi_subset(n, nvars, tmask)
-    for _ in range(maxdeg):
-        nxt = pows[-1] * psi
-        if nxt.is_zero():
-            break
-        pows.append(nxt)
-    return pows
-
-
-def _expand_bivariate(n, nvars, tmask, biv, maxdeg):
-    """Substitute x -> D(tmask), y -> psi_tmask in a two-symbol polynomial
-    truncated above degree maxdeg (psi_T^k is homogeneous of degree k)."""
-    psi_pows = _psi_powers(n, nvars, tmask, maxdeg)
+    psi_pows = [CohClass.one(n, nvars)]
+    for _ in range(max((k for _, k in biv), default=0)):
+        psi_pows.append(psi_pows[-1] * psi)
     terms = {}
     for (j, k), c in sorted(biv.items()):
-        if k >= len(psi_pows):
-            continue
         for mono, pc in psi_pows[k].terms.items():
             m = tuple(sorted(mono + ((tmask, j),))) if j else mono
             v = pc * c
@@ -144,11 +146,10 @@ def _expand_bivariate(n, nvars, tmask, biv, maxdeg):
 def wall_factor(n, nvars, tmask, delta_t, a):
     """Product over p in the signed index set of delta_t - 1 of
     (1 + p D(T) / (t_a + p psi_T)), as a CohClass."""
-    positives, negatives = signed_index_set(delta_t - 1)
-    if not positives and not negatives:
-        return CohClass.one(n, nvars)
-    biv = _lift(_index_product(positives, negatives, n - 3), nvars, a, 0)
-    return _expand_bivariate(n, nvars, tmask, biv, n - 3)
+    index_sets = [([], [])] * nvars
+    index_sets[a - 1] = signed_index_set(delta_t - 1)
+    factor = _subset_factor(n, nvars, tmask, index_sets, n - 3)
+    return CohClass.one(n, nvars) if factor is None else factor
 
 
 def euler_class_mainthm(data):
@@ -156,7 +157,7 @@ def euler_class_mainthm(data):
     _require_admissible(data)
     n, nvars = data.n, data.N
     fm = full_mask(n)
-    psi_n = -CohClass.generator(n, nvars, fm)
+    psi_n = psi_marking(n, nvars, n)
     out = CohClass.one(n, nvars)
     body = list(range(1, n))
     for a in range(1, nvars + 1):
@@ -169,16 +170,14 @@ def euler_class_mainthm(data):
         if not 2 <= tmask.bit_count() <= n - 2:
             continue
         markings = markings_of(tmask)
-        factor = None
-        for a in range(1, nvars + 1):
-            f = wall_factor(n, nvars, tmask, data.age_sum(markings, a), a)
-            factor = f if factor is None else factor * f
-        if factor.terms != {(): LaurentPoly.one(nvars)}:
+        factor = _subset_factor(n, nvars, tmask, [
+            signed_index_set(data.age_sum(markings, a) - 1) for a in range(1, nvars + 1)], n - 3)
+        if factor is not None:
             out = out * factor
     return out
 
 
-def scaled_compact_product(n, nvars, deltas, prefactor_exps, start=None):
+def scaled_compact_product(n, nvars, deltas, prefactor_exps, start):
     """The compact-form evaluator on raw age data, built on integers.
 
     deltas[a-1][i-1] is the age-type exponent of marking i (1..n-1) in
@@ -195,11 +194,11 @@ def scaled_compact_product(n, nvars, deltas, prefactor_exps, start=None):
     x^j y^k by s^(j+k); the geometric-series inverses divide only by
     t_a, so every coefficient of cls is an integer Laurent polynomial.
 
-    start, if given, is a class the product starts from, scaled the same
-    way on entry, so cls is start times the product.  Like every CohClass
-    product this is truncated above degree n-3, so when every term of
-    start has degree at least k, the factors' terms above degree n-3-k
-    vanish against it and are never built.  invariant_direct starts from
+    start is the class the product starts from (one for the bare
+    product), scaled the same way on entry, so cls is start times the
+    product.  Like every CohClass product this is truncated above degree
+    n-3, so when every term of start has degree at least k, the factors'
+    terms above degree n-3-k vanish against it and are never built.  invariant_direct starts from
     its psi insertions (degree |nu|), which makes the whole build produce
     only the degrees <= n-3-|nu| of the class that its integral reads.
     The subset factors are multiplied in descending order of |T|, which
@@ -208,25 +207,16 @@ def scaled_compact_product(n, nvars, deltas, prefactor_exps, start=None):
     s = math.lcm(*(d.denominator for row in deltas for d in row))
     fm = full_mask(n)
     pref = LaurentPoly(nvars, {tuple(prefactor_exps): 1})
-    if start is None:
-        out = CohClass.scalar(n, nvars, pref)
-        maxdeg = n - 3
-    else:
-        out = CohClass(n, nvars, {m: c * (pref * s ** mono_degree(m))
-                                  for m, c in start.terms.items()})
-        maxdeg = n - 3 - min(map(mono_degree, start.terms), default=0)
+    out = CohClass(n, nvars, {m: c * (pref * s ** mono_degree(m))
+                              for m, c in start.terms.items()})
+    maxdeg = n - 3 - min(map(mono_degree, start.terms), default=0)
     for tmask in sorted(range(1, fm + 1), key=lambda m: -m.bit_count()):
-        biv = None
-        for a in range(1, nvars + 1):
-            delta_t = sum(deltas[a - 1][b] for b in range(n - 1) if tmask >> b & 1)
-            positives, negatives = signed_index_set(delta_t - 1)
-            if not positives and not negatives:
-                continue
-            f = _lift(_index_product([int(p * s) for p in positives],
-                                     [int(p * s) for p in negatives], maxdeg), nvars, a, 0)
-            biv = f if biv is None else _biv_mul(biv, f, maxdeg)
-        if biv is not None:
-            out = out * _expand_bivariate(n, nvars, tmask, biv, maxdeg)
+        bits = [b for b in range(n - 1) if tmask >> b & 1]
+        factor = _subset_factor(n, nvars, tmask, [
+            [[int(p * s) for p in ps] for ps in signed_index_set(sum(row[b] for b in bits) - 1)]
+            for row in deltas], maxdeg)
+        if factor is not None:
+            out = out * factor
     return out, s
 
 
@@ -240,13 +230,13 @@ def unscale(cls, s):
 
 def compact_product(n, nvars, deltas, prefactor_exps):
     """The compact-form product of scaled_compact_product, unscaled."""
-    return unscale(*scaled_compact_product(n, nvars, deltas, prefactor_exps))
+    return unscale(*scaled_compact_product(n, nvars, deltas, prefactor_exps,
+                                           CohClass.one(n, nvars)))
 
 
-def scaled_compact_class(data, start=None):
+def scaled_compact_class(data, start):
     """The compact-form Euler class as (cls, s), scaled as in
-    scaled_compact_product (s divides the group order), times start if
-    given."""
+    scaled_compact_product (s divides the group order), times start."""
     _require_admissible(data)
     n, nvars = data.n, data.N
     deltas = [[data.age(i, a) for i in range(1, n)] for a in range(1, nvars + 1)]
@@ -261,7 +251,8 @@ def scaled_compact_class(data, start=None):
 
 def euler_class_compact(data):
     """Euler class via the all-subsets product against a t-monomial prefactor."""
-    return unscale(*scaled_compact_class(data))
+    _require_admissible(data)  # before the start, which needs n >= 3
+    return unscale(*scaled_compact_class(data, CohClass.one(data.n, data.N)))
 
 
 def weighted_class(data):

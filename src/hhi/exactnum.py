@@ -97,13 +97,7 @@ class LaurentPoly:
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[tuple(e)] = self.terms.get(tuple(e), 0) + c
-            for e in [e for e, c in self.terms.items() if not c]:
-                del self.terms[e]
+        self.terms = {tuple(e): c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
     def zero(cls, nvars):

@@ -87,10 +87,9 @@ def invariant_direct(key, cache=None):
     scaled_compact_product): every term then has degree at least
     |nu| = sum of the psi exponents, and the product's truncation above
     degree n-3 keeps of the Euler class only its degree <= n-3-|nu| part,
-    the only part the integral reads.  With no insertions the class
-    starts from one, which saves a product.  When |nu| > n-3 the
-    integrand has no part in degree n-3 and the value is zero by
-    dimension, so nothing is built.
+    the only part the integral reads; with no insertions the start is
+    one.  When |nu| > n-3 the integrand has no part in degree n-3 and the
+    value is zero by dimension, so nothing is built.
     """
     data = key.data
     if not data.admissible():
@@ -103,10 +102,9 @@ def invariant_direct(key, cache=None):
     if sum(key.psi) > n - 3:
         val = LaurentPoly.zero(data.N)
     else:
-        start = None
-        if any(key.psi):
-            start = CohClass.one(n, data.N)
-            for i, v in enumerate(key.psi, 1):
+        start = CohClass.one(n, data.N)
+        for i, v in enumerate(key.psi, 1):
+            if v:
                 start = start * psi_marking(n, data.N, i) ** v
         # The integer class carries its degree-d coefficients (the start's
         # included) times s^d, so one division undoes the scale.

@@ -25,6 +25,14 @@ polynomials in the numbers p / t_a, and the merged marking inherits a
 psi exponent.  The identity
     direct(key) = weighted(key) + sum of weight * direct(head)
 then holds term by term against the boundary-divisor integration.
+
+The [C^3 / mu_3] series I_l (3l+3 age-one insertions) is computed by
+three routes that share no code beyond the cube-factorial table:
+c3z3_series runs the comb recursion with its teeth summed from the
+powers of one power series S(y) of tooth weights; c3z3_direct inverts
+that recursion in closed form, with coefficients summed over the
+partitions of p (c3z3_c_coeff); c3z3_mirror reads the values off the
+weighted-space generating series composed with the inverse mirror map.
 """
 
 import itertools
@@ -305,32 +313,28 @@ def c3z3_weighted(n):
 
 
 def c3z3_series(lmax):
-    """I_0..I_lmax by the grouped comb recursion: the invariant with
-    3l+3 age-one insertions, teeth of size 3m+1.  A tooth multiset's
-    sign, automorphisms and cube factorials depend on its partition of p
-    alone, so they are multiplied out once; only the placement count
-    depends on l."""
+    """I_0..I_lmax by the comb recursion: the invariant with 3l+3
+    age-one insertions, teeth of size 3m+1.  Placed one after another
+    among the 3l+2 undistinguished markings, the teeth of a partition of
+    p into k parts take (3l+2)! / (3l+2-3p-k)! times prod 1/(3m+1)! of
+    the placements, up to the automorphisms of the partition.  So with
+    S(y) = sum_(m>=1) ((m-2/3)!)^3 y^m / (3m+1)!, their sum over the
+    partitions of p into k parts is [y^p] S^k / k! times that falling
+    factorial, with sign (-1)^(p+1), and the powers of one series stand
+    in for the partitions."""
     facs = _cube_facs(lmax)
-    teeth = [[(parts, rational((-1) ** (p + 1), _aut_order(parts))
-               * math.prod(facs[m] for m in parts))
-              for parts in partitions_of_int(p, 1)]
-             for p in range(lmax + 1)]
+    s = Series(lmax, [0] + [facs[m] / math.factorial(3 * m + 1) for m in range(1, lmax + 1)])
+    powers = [Series(lmax, [1])]  # powers[k] = S^k / k!
+    for k in range(1, lmax + 1):
+        powers.append(powers[-1] * s * rational(1, k))
     vals = []
     for ell in range(lmax + 1):
-        n = 3 * ell + 3
-        v = c3z3_weighted(n)
+        v = c3z3_weighted(3 * ell + 3)
         for p in range(1, ell + 1):
-            for parts, w in teeth[p]:
-                rest = n - 1
-                count = 1
-                for m in parts:
-                    if rest < 3 * m + 1:
-                        count = 0
-                        break
-                    count *= math.comb(rest, 3 * m + 1)
-                    rest -= 3 * m + 1
-                if count:
-                    v = v + w * count * vals[ell - p]
+            # [y^p] S^k = 0 for k > p
+            w = sum(powers[k].coeffs[p] * math.perm(3 * ell + 2, 3 * p + k)
+                    for k in range(1, p + 1))
+            v = v + (-1) ** (p + 1) * w * vals[ell - p]
         vals.append(v)
     return vals
 

@@ -119,6 +119,19 @@ def test_invariant_bad_usage_exits_one(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("args,expected", [
+    (["-w", "1,1,1", "-k", "-2,1,1"], (0, "direct = 1/3\n", "")),
+    (["-w", "-2,1,1", "-k", "1,1,1"], (0, "direct = 1/3\n", "")),
+    (["--weights", "1,1,1", "--elements", "-1,-1,-1"], (0, "direct = 1/3*t1*t2*t3\n", "")),
+    (["-w", "1,1,1", "-k", "1,1,1", "--psi", "-1,0,0"],
+     (1, "", "error: psi exponents must be nonnegative\n")),
+])
+def test_comma_list_starting_with_minus_is_a_value(capsys, args, expected):
+    """A comma list whose first entry is negative is the option's value,
+    not an option name; elements and weights are taken mod r."""
+    assert run(capsys, "invariant", "-r", "3", "--no-cache", *args) == expected
+
+
 def test_unknown_subcommand_exits_one(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 1

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from hhi.exactnum import LaurentPoly, frac_factorial, rational
+from hhi.exactnum import LaurentPoly, frac_factorial, rat_to_str, rational
 from hhi.invariants import InvariantKey, invariant_direct, invariant_weighted
 from hhi.orbifold import OrbifoldData
 from hhi.recursion import (Series, _aut_order, _cube_facs, c3z3_c_coeff,
@@ -167,6 +167,26 @@ def test_series_frozen_values():
     expected = [rational(1, 3), rational(-1, 27), rational(1, 9),
                 rational(-1093, 729)]
     assert c3z3_series(3) == expected
+
+
+def test_series_frozen_values_17_to_24():
+    """I_17..I_24, recorded from the build that summed the teeth over the
+    partitions of p; the three-way CLI test stops at l = 16."""
+    expected = [
+        "-481587699665027628555609077299916159651538862765555/282429536481",
+        "509535039052018078186467844497377071893170746801679277595/68630377364883",
+        "-23571400839394106740953526723628867316825203309775501369992495/617673396283947",
+        "141791190182973558401533830435988524107919263089985406657085302505/617673396283947",
+        "-26740387391263390597700302385358330376786063255515537850991205777560155"
+        "/16677181699666569",
+        "646031490860348099458666057991571328662142250741423723252943165679920150235"
+        "/50031545098999707",
+        "-5959737307887228987986523582297921374373845456582049634281035173666980655746575"
+        "/50031545098999707",
+        "1690498013441878296477717610479237598995548995910863510246912287641121759485871506075"
+        "/1350851717672992089",
+    ]
+    assert [rat_to_str(v) for v in c3z3_series(24)[17:]] == expected
 
 
 def test_cube_facs_table():
