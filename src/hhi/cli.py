@@ -12,7 +12,7 @@ import os
 import re
 import sys
 
-from .exactnum import LaurentPoly, rat_to_str, rational
+from .exactnum import LaurentPoly, rat_to_float_str, rat_to_str, rational
 from .orbifold import OrbifoldData
 from .euler import euler_class_mainthm, euler_class_compact, weighted_class
 from .invariants import (CACHE_FORMAT, InvariantKey, InvariantCache, invariant_direct,
@@ -117,7 +117,7 @@ def _print_poly(label, val, as_float=False, as_json=False):
         bits = []
         for e in sorted(val.terms):
             mono = "*".join("t%d^%d" % (a + 1, k) for a, k in enumerate(e) if k)
-            c = "%.12g" % float(val.terms[e])
+            c = rat_to_float_str(val.terms[e])
             bits.append(c if not mono else "%s*%s" % (c, mono))
         print("%s ~ %s" % (label, " + ".join(bits) if bits else "0"))
 
@@ -142,6 +142,7 @@ def cmd_invariant(args):
         return 0
     path = _cache_path(args)
     cache = InvariantCache(path) if path else None
+    cached = len(cache) if cache is not None else 0
     results = {}
     if args.method in ("direct", "all"):
         results["direct"] = invariant_direct(key, cache=cache)
@@ -160,7 +161,9 @@ def cmd_invariant(args):
     for name in sorted(results):
         _print_poly(name, results[name], args.as_float, args.json)
     rc = _report_agreement(results)
-    if cache is not None:
+    # a call that added no record leaves the file alone, so a hit cannot
+    # write back an old snapshot over another process's records
+    if cache is not None and len(cache) > cached:
         try:
             cache.save()
         except OSError as exc:
@@ -205,7 +208,7 @@ def cmd_series(args):
         for ell, v in enumerate(results[name]):
             line = "%s I_%d = %s" % (name, ell, rat_to_str(v))
             if args.as_float:
-                line += " ~ %.12g" % float(v)
+                line += " ~ " + rat_to_float_str(v)
             print(line)
     return _report_agreement(results)
 

@@ -50,6 +50,29 @@ def rat_to_str(x):
     return "%d/%d" % (num, den)
 
 
+def rat_to_float_str(x):
+    """Render an exact rational as "%.12g" would render float(x), also
+    where float(x) would overflow or flush a nonzero value to zero: then
+    the 12 significant digits are rounded from the exact value."""
+    try:
+        f = float(x)
+    except OverflowError:
+        f = None
+    if f is not None and (f or not x):
+        return "%.12g" % f
+    q = abs(Fraction(int(x.numerator), int(x.denominator)))
+    # 10^exp <= q < 10^(exp+1); the digit counts fix exp up to one
+    exp = len(str(q.numerator)) - len(str(q.denominator))
+    if q < Fraction(10) ** exp:
+        exp -= 1
+    digits = round(q / Fraction(10) ** (exp - 11))
+    if digits == 10 ** 12:
+        digits, exp = digits // 10, exp + 1
+    mantissa = str(digits)
+    mantissa = (mantissa[0] + "." + mantissa[1:]).rstrip("0").rstrip(".")
+    return "%s%se%+03d" % ("-" if x < 0 else "", mantissa, exp)
+
+
 def frac_unit(x):
     """Fractional part in (0, 1]: x - ceil(x) + 1.  Equals 1 on integers."""
     return x - math.ceil(x) + 1

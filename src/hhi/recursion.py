@@ -33,6 +33,10 @@ powers of one power series S(y) of tooth weights; c3z3_direct inverts
 that recursion in closed form, with coefficients summed over the
 partitions of p (c3z3_c_coeff); c3z3_mirror reads the values off the
 weighted-space generating series composed with the inverse mirror map.
+It reads each coefficient by the Lagrange-Buermann formula
+[w^n] a(tau^-1(w)) = (1/n) [t^(n-1)] a'(t) (t/tau(t))^n, and since
+tau(t)/t is a series in u = t^3, that is one power of a series in u to
+order l per I_l, with no reversion or composition.
 """
 
 import itertools
@@ -436,18 +440,18 @@ class Series:
                 out = out + power * self.coeffs[k]
         return out
 
-    def reverse(self):
-        """Compositional inverse; requires coeff 0 zero and coeff 1 nonzero.
-        Coefficient k of the inverse fixes coefficient k of the
-        composition, which the terms above t^k do not touch, so each step
-        composes at order k only."""
-        if self.coeffs[0] or not self.coeffs[1]:
-            raise ValueError("reversion needs the form c1*t + O(t^2), c1 != 0")
-        inv = Series(self.order, [rational(0), 1 / self.coeffs[1]])
-        for k in range(2, self.order + 1):
-            err = Series(k, self.coeffs).compose(Series(k, inv.coeffs)).coeffs[k]
-            inv.coeffs[k] = inv.coeffs[k] - err / self.coeffs[1]
-        return inv
+    def power(self, alpha):
+        """self ** alpha for a rational alpha; needs constant term 1.  By
+        J.C.P. Miller's recurrence: P_0 = 1 and
+        P_k = (1/k) sum_(i=1..k) ((alpha+1) i - k) c_i P_(k-i)."""
+        if self.coeffs[0] != 1:
+            raise ValueError("power needs constant term 1")
+        c = self.coeffs
+        p = [rational(1)]
+        for k in range(1, self.order + 1):
+            p.append(sum((((alpha + 1) * i - k) * c[i] * p[k - i]
+                          for i in range(1, k + 1) if c[i]), rational(0)) / k)
+        return Series(self.order, p)
 
     def coefficient(self, k):
         return self.coeffs[k]
@@ -470,16 +474,19 @@ def mirror_tau(order):
 
 def c3z3_mirror(lmax):
     """I_0..I_lmax via the mirror map: the weighted-space generating
-    series in the n-1 undistinguished markings, composed with the
-    inverse mirror map, has the invariants as its coefficients."""
-    order = 3 * lmax + 2
-    a = Series(order)
-    n = 3
-    while n - 1 <= order:
-        a.coeffs[n - 1] = c3z3_weighted(n) / math.factorial(n - 1)
-        n += 3
-    b = a.compose(mirror_tau(order).reverse())
+    series a(t) = sum_j A_j t^(3j+2), A_j = c3z3_weighted(3j+3)/(3j+2)!,
+    composed with the inverse mirror map, has I_l / (3l+2)! as its
+    coefficient at 3l+2.  By Lagrange-Buermann, with n = 3l+2,
+        [w^n] a(tau^-1(w)) = (1/n) [t^(n-1)] a'(t) (t/tau(t))^n,
+    and tau(t)/t = psi(u) is a series in u = t^3, so
+        I_l = (3l+1)! sum_(j=0..l) (3j+2) A_j [u^(l-j)] psi(u)^-(3l+2),
+    one power of psi to order l per l: O(lmax^3) rational operations."""
+    psi = Series(lmax, mirror_tau(3 * lmax + 1).coeffs[1::3])
+    # (3j+2) A_j
+    da = [c3z3_weighted(3 * j + 3) / math.factorial(3 * j + 1) for j in range(lmax + 1)]
     out = []
     for ell in range(lmax + 1):
-        out.append(b.coefficient(3 * ell + 2) * math.factorial(3 * ell + 2))
+        inv = Series(ell, psi.coeffs).power(-(3 * ell + 2)).coeffs
+        out.append(math.factorial(3 * ell + 1)
+                   * sum((da[j] * inv[ell - j] for j in range(ell + 1)), rational(0)))
     return out

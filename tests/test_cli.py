@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -158,6 +159,25 @@ def test_cache_env_and_flag_precedence(capsys, isolated_cwd, monkeypatch):
     assert flagpath.exists()
 
 
+def test_cache_hit_leaves_the_file_alone(capsys, isolated_cwd):
+    """A hit adds no record, so it must not write back the snapshot it
+    loaded (which would erase a record another process saved since)."""
+    path = isolated_cwd / "hhi-cache.json"
+    args = ("invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1", "--cache", str(path))
+    assert run(capsys, *args) == (0, "direct = 1/3\n", "")
+    old = 10 ** 18
+    os.utime(path, ns=(old, old))
+    before = path.read_bytes()
+    assert run(capsys, *args) == (0, "direct = 1/3\n", "")
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == old
+    rc, _, _ = run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1",
+                   "--cache", str(path))
+    assert rc == 0
+    assert path.stat().st_mtime_ns != old
+    assert len(InvariantCache(str(path))) == 2
+
+
 def test_no_cache_writes_nothing(capsys, isolated_cwd):
     rc, _, _ = run(capsys, "invariant", "-r", "3", "-w", "1,1,1",
                    "-k", "1,1,1", "--no-cache")
@@ -239,6 +259,18 @@ def test_series_float_rendering(capsys):
     rc, out, _ = run(capsys, "series", "--lmax", "0", "--float")
     assert rc == 0
     assert out.strip() == "series I_0 = 1/3 ~ 0.333333333333"
+
+
+def test_series_float_beyond_float_range(capsys):
+    """I_74 is about 7e311, past the largest float; its rendering is
+    rounded from the exact value instead of raising OverflowError."""
+    rc, out, _ = run(capsys, "series", "--lmax", "74", "--method", "series", "--float")
+    assert rc == 0
+    lines = out.splitlines()
+    assert len(lines) == 75
+    assert lines[0] == "series I_0 = 1/3 ~ 0.333333333333"
+    assert lines[-1].startswith("series I_74 = 1922276465332135")
+    assert lines[-1].endswith(" ~ 7.01835481391e+311")
 
 
 @pytest.mark.parametrize("command", ["series", "check"])

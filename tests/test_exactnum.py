@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hhi.exactnum import (LaurentPoly, frac_factorial, frac_unit, rat_from_str,
-                          rat_to_str, rational, signed_index_set)
+                          rat_to_float_str, rat_to_str, rational, signed_index_set)
 
 
 rationals = st.builds(rational, st.integers(-60, 60), st.integers(1, 12))
@@ -15,6 +15,26 @@ def test_rational_backend_basics():
     assert rat_to_str(rational(7)) == "7"
     assert rat_from_str("-5/3") == rational(-5, 3)
     assert rat_from_str(" 4 ") == 4
+
+
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40))
+def test_float_rendering_in_range_is_percent_g(num, den):
+    x = rational(num, den)
+    assert rat_to_float_str(x) == "%.12g" % float(x)
+
+
+def test_float_rendering_beyond_float_range():
+    big = rational(10) ** 400
+    assert rat_to_float_str(big) == "1e+400"
+    assert rat_to_float_str(-big * 3 / 7) == "-4.28571428571e+399"
+    assert rat_to_float_str(1 / big) == "1e-400"
+    assert rat_to_float_str(rational(-2, 3) / big) == "-6.66666666667e-401"
+    # rounding up to the next power of ten
+    assert rat_to_float_str(big * (10 ** 13 - 4) / 10 ** 13) == "1e+400"
+    # an exact tie rounds to even, as "%.12g" rounds a float
+    assert rat_to_float_str(10 ** 400 + 5 * 10 ** 388) == "1e+400"
+    assert rat_to_float_str(10 ** 400 + 15 * 10 ** 388) == "1.00000000002e+400"
+    assert rat_to_float_str(rational(0)) == "0"
 
 
 def test_frac_unit_values():

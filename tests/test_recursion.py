@@ -1,7 +1,9 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, frac_factorial, rat_to_str, rational
 from hhi.invariants import InvariantKey, invariant_direct, invariant_weighted
@@ -258,6 +260,20 @@ def test_series_arithmetic():
         a + Series(5)
 
 
+def reverse(f):
+    """Compositional inverse of f = c1*t + O(t^2), c1 != 0, order by order:
+    coefficient k of the inverse fixes coefficient k of the composition,
+    which the terms above t^k do not touch, so each step composes at
+    order k only.  The mirror route's reference."""
+    if f.coeffs[0] or not f.coeffs[1]:
+        raise ValueError("reversion needs the form c1*t + O(t^2), c1 != 0")
+    inv = Series(f.order, [rational(0), 1 / f.coeffs[1]])
+    for k in range(2, f.order + 1):
+        err = Series(k, f.coeffs).compose(Series(k, inv.coeffs)).coeffs[k]
+        inv.coeffs[k] = inv.coeffs[k] - err / f.coeffs[1]
+    return inv
+
+
 def test_series_compose_and_reverse():
     # geometric series composed with t + t^2
     g = Series(5, [1, 1, 1, 1, 1, 1])
@@ -266,7 +282,7 @@ def test_series_compose_and_reverse():
     # 1/(1 - t - t^2): Fibonacci coefficients
     assert comp.coeffs == [rational(v) for v in (1, 1, 2, 3, 5, 8)]
     f = Series(6, [0, 1, -1, 2, 5, -7, 3])
-    inv = f.reverse()
+    inv = reverse(f)
     round_trip = f.compose(inv)
     assert round_trip.coeffs == [rational(0), rational(1)] + [rational(0)] * 5
     with pytest.raises(ValueError):
@@ -278,7 +294,45 @@ def test_series_reverse_dense_order_12():
                                            for k in range(2, 13)])
     assert all(f.coeffs[1:])
     identity = Series(12, [0, 1])
-    assert f.compose(f.reverse()) == identity
-    assert f.reverse().compose(f) == identity
+    assert f.compose(reverse(f)) == identity
+    assert reverse(f).compose(f) == identity
     with pytest.raises(ValueError):
-        Series(3, [0, 0, 1]).reverse()
+        reverse(Series(3, [0, 0, 1]))
+
+
+def test_mirror_equals_composition_with_reversed_mirror_map():
+    """The Lagrange-Buermann route against the definition: the
+    weighted-space series composed with the reversed mirror map."""
+    for lmax in range(11):
+        order = 3 * lmax + 2
+        a = Series(order)
+        for n in range(3, order + 2, 3):
+            a.coeffs[n - 1] = c3z3_weighted(n) / math.factorial(n - 1)
+        b = a.compose(reverse(mirror_tau(order)))
+        assert c3z3_mirror(lmax) == [b.coefficient(3 * ell + 2) * math.factorial(3 * ell + 2)
+                                     for ell in range(lmax + 1)], lmax
+
+
+def test_mirror_equals_series_at_lmax_60():
+    """The mirror route is cubic in lmax, so lmax 60 takes about a second;
+    the reversion and composition it replaced would take minutes."""
+    assert c3z3_mirror(60) == c3z3_series(60)
+
+
+unit_series = st.lists(st.builds(rational, st.integers(-9, 9), st.integers(1, 6)),
+                       min_size=0, max_size=7).map(lambda cs: Series(7, [1] + cs))
+exponents = st.builds(rational, st.integers(-7, 7), st.integers(1, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_series, exponents, exponents)
+def test_series_power_laws(psi, alpha, beta):
+    assert psi.power(alpha) * psi.power(beta) == psi.power(alpha + beta)
+    assert psi.power(-1) * psi == Series(7, [1])
+    assert psi.power(0) == Series(7, [1])
+    assert psi.power(3) == psi * psi * psi
+
+
+def test_series_power_needs_constant_term_one():
+    with pytest.raises(ValueError):
+        Series(3, [2, 1]).power(rational(1, 2))
