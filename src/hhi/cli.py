@@ -102,7 +102,9 @@ def _make_key(args):
     if args.order < 1:
         raise ValueError("group order must be positive")
     data = OrbifoldData(args.order, args.weights, args.elements)
-    psi = getattr(args, "psi", None) or [0] * data.n
+    psi = getattr(args, "psi", None)
+    if psi is None:
+        psi = [0] * data.n
     if len(psi) != data.n:
         raise ValueError("need one psi exponent per marking")
     return InvariantKey(data, psi)

@@ -16,6 +16,7 @@ and "inverted" ranges that occur when x <= 0.
 
 import math
 from fractions import Fraction
+from operator import add
 
 try:
     from gmpy2 import mpq as _mpq
@@ -123,6 +124,13 @@ class LaurentPoly:
         self.terms = {tuple(e): c for e, c in terms.items() if c} if terms else {}
 
     @classmethod
+    def _of(cls, nvars, terms):
+        """A polynomial on a dict of nonzero coefficients, taken as is."""
+        out = cls(nvars)
+        out.terms = terms
+        return out
+
+    @classmethod
     def zero(cls, nvars):
         return cls(nvars)
 
@@ -172,16 +180,12 @@ class LaurentPoly:
                 terms[e] = s
             elif e in terms:
                 del terms[e]
-        out = LaurentPoly(self.nvars)
-        out.terms = terms
-        return out
+        return LaurentPoly._of(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LaurentPoly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -192,34 +196,17 @@ class LaurentPoly:
         if isinstance(other, RATIONAL_TYPES):
             if not other:
                 return LaurentPoly(self.nvars)
-            out = LaurentPoly(self.nvars)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return LaurentPoly._of(self.nvars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
-        if len(self.terms) == 1:
-            [(e1, c1)] = self.terms.items()
-            out = LaurentPoly(self.nvars)
-            out.terms = {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
-                         for e2, c2 in other.terms.items()}
-            return out
-        if len(other.terms) == 1:
-            [(e2, c2)] = other.terms.items()
-            out = LaurentPoly(self.nvars)
-            out.terms = {tuple(a + b for a, b in zip(e1, e2)): c1 * c2
-                         for e1, c1 in self.terms.items()}
-            return out
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                elif e in terms:
-                    del terms[e]
-        out = LaurentPoly(self.nvars)
-        out.terms = terms
-        return out
+                e = tuple(map(add, e1, e2))
+                prev = terms.get(e)
+                terms[e] = c1 * c2 if prev is None else prev + c1 * c2
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
+        return LaurentPoly._of(self.nvars, terms)
 
     __rmul__ = __mul__
 

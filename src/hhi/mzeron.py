@@ -12,13 +12,14 @@ dictionaries keyed by sorted (mask, exponent) tuples with Laurent
 polynomial coefficients.  Products are truncated above the socle degree
 n-3, where integration happens.
 
-Integration works by repeatedly restricting to a boundary divisor: one
-factor D(T) is consumed, the remaining symbols are pushed to the two
-sides of the node per the restriction rules, and the two smaller
-integrals are multiplied.  Once only psi symbols remain, the string
-equation / multinomial formula finishes the job.  Results are memoized
-on the shape of the laminar forest, which is a complete invariant of the
-integral under relabeling of the non-distinguished markings.
+Integration works on the shape of a monomial's laminar forest
+(_forest_key): a tree of nodes (free markings, exponent, children) under
+the full set, which is a complete invariant of the integral under
+relabeling of markings 1..n-1 and the key of the memo.  Restricting to a
+boundary divisor D(T) splits the tree: T's subtree becomes the T-side
+component, the rest keeps T as one marking (the node), and the powers
+of D(T) left over go binomially to the node psi classes on either side.
+Once only psi symbols remain, the multinomial formula finishes the job.
 """
 
 import math
@@ -211,9 +212,7 @@ class CohClass:
                 sums = {e: c for e, c in sums.items() if c}
                 if not sums:
                     continue
-            poly = LaurentPoly(self.nvars)
-            poly.terms = sums
-            terms[m] = poly
+            terms[m] = LaurentPoly._of(self.nvars, sums)
         out = CohClass(self.n, self.nvars)
         out.terms = terms
         return out
@@ -290,63 +289,6 @@ def psi_integral(n, exps):
     return rational(val)
 
 
-def _remap(mask, positions):
-    """Compress the bits of mask through the sorted bit-position list."""
-    out = 0
-    for newbit, oldbit in enumerate(positions):
-        if mask >> oldbit & 1:
-            out |= 1 << newbit
-    return out
-
-
-def restrict_monomial(n, mono, tmask):
-    """Restrict a laminar monomial containing D(tmask) to that divisor.
-
-    Returns a list of (integer coefficient, n_left, mono_left, n_right,
-    mono_right).  The left factor is the moduli of the T-component (the
-    node is its distinguished marking); on the right the original n-th
-    marking stays distinguished and the node becomes the last ordinary
-    marking.  One factor of D(tmask) is consumed; its remaining powers
-    split binomially into the two node psi classes.
-    """
-    m = tmask.bit_count()
-    if not 2 <= m <= n - 2:
-        raise ValueError("can only restrict to a proper boundary divisor")
-    d = dict(mono)
-    if tmask not in d:
-        raise ValueError("monomial has no D(T) factor")
-    e_t = d.pop(tmask)
-    tbits = [b for b in range(n - 1) if tmask >> b & 1]
-    obits = [b for b in range(n - 1) if not tmask >> b & 1]
-    n_l = m + 1  # T (re-labeled 1..m) plus the node; node distinguished
-    n_r = n - m + 1  # survivors, node (last ordinary), original marking n
-    full_l = full_mask(n_l)
-    node_r = 1 << (n_r - 2)
-    left, right = {}, {}
-    for mask, e in d.items():
-        inter = mask & tmask
-        if inter == mask:  # S strictly inside T
-            left[_remap(mask, tbits)] = left.get(_remap(mask, tbits), 0) + e
-        elif not inter:  # S disjoint from T
-            right[_remap(mask, obits)] = right.get(_remap(mask, obits), 0) + e
-        elif inter == tmask:  # S strictly contains T: collapse T to the node
-            rm = _remap(mask & ~tmask, obits) | node_r
-            right[rm] = right.get(rm, 0) + e
-        else:
-            return []  # incomparable overlap: the product was zero anyway
-    out = []
-    for j in range(e_t):
-        c = math.comb(e_t - 1, j)
-        lm = dict(left)
-        if j:
-            lm[full_l] = lm.get(full_l, 0) + j  # (-psi_node)^j on the T side
-        rm = dict(right)
-        if e_t - 1 - j:
-            rm[node_r] = rm.get(node_r, 0) + (e_t - 1 - j)
-        out.append((c, n_l, tuple(sorted(lm.items())), n_r, tuple(sorted(rm.items()))))
-    return out
-
-
 def _forest_key(n, mono):
     """Shape of the laminar forest of a monomial: a complete invariant of
     its integral under relabeling of markings 1..n-1."""
@@ -384,33 +326,60 @@ def _forest_key(n, mono):
 _integral_memo = {}
 
 
+def _span(node):
+    """(markings, degree) of a forest node: the markings under it and the
+    total exponent of its symbols and of those nested inside it."""
+    free, e, kids = node
+    for kid in kids:
+        m, d = _span(kid)
+        free += m
+        e += d
+    return free, e
+
+
+def _integral_forest(root):
+    """Integral over M0n of the monomial with forest key root, n being
+    the markings under root plus one and the degree n-3.
+
+    With no wall (a child of two or more markings) the symbols are psi
+    classes.  Otherwise the first wall W = (f, e, kids) is split off: the
+    W side is (f, j, kids), its root exponent j being the node psi there,
+    and the rest keeps W as the node, a singleton of exponent e-1-j, with
+    weight C(e-1, j).  Only one j gives the W side its dimension.
+    """
+    hit = _integral_memo.get(root)
+    if hit is not None:
+        return hit
+    free, exp, kids = root
+    wall = next((kid for kid in kids if kid[0] > 1 or kid[2]), None)
+    if wall is None:
+        n = free + len(kids) + 1
+        exps = [e for _, e, _ in kids] + [0] * free + [exp]
+        val = psi_integral(n, exps) * (-1) ** (n - 3)
+    else:
+        f, e, sub = wall
+        m, d = _span(wall)
+        j = m - 2 - (d - e)
+        val = rational(0)
+        if 0 <= j < e:
+            left = _integral_forest((f, j, sub))
+            if left:
+                rest = list(kids)
+                rest.remove(wall)
+                if j < e - 1:
+                    right = (free, exp, tuple(sorted(rest + [(1, e - 1 - j, ())])))
+                else:
+                    right = (free + 1, exp, tuple(rest))
+                val = math.comb(e - 1, j) * left * _integral_forest(right)
+    _integral_memo[root] = val
+    return val
+
+
 def integral_monomial(n, mono):
     """Exact integral of a laminar monomial over M0n (a rational number)."""
     if mono_degree(mono) != n - 3:
         return rational(0)
-    key = _forest_key(n, mono)
-    hit = _integral_memo.get(key)
-    if hit is not None:
-        return hit
-    walls = [mask for mask, _ in mono if 2 <= mask.bit_count() <= n - 2]
-    if not walls:
-        exps = [0] * n
-        for mask, e in mono:
-            if mask == full_mask(n):
-                exps[n - 1] += e
-            else:
-                exps[mask.bit_length() - 1] += e
-        val = psi_integral(n, exps) * (-1) ** (n - 3)
-    else:
-        tmask = min(walls, key=lambda m: (m.bit_count(), m))
-        val = rational(0)
-        for c, n_l, ml, n_r, mr in restrict_monomial(n, mono, tmask):
-            if c:
-                left = integral_monomial(n_l, ml)
-                if left:
-                    val = val + rational(c) * left * integral_monomial(n_r, mr)
-    _integral_memo[key] = val
-    return val
+    return _integral_forest(_forest_key(n, mono))
 
 
 def integrate(c):

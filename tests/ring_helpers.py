@@ -1,0 +1,52 @@
+"""Helpers shared by the ring tests: the laminar monomials of a degree,
+the check that a class vanishes in cohomology, and the weighted-space
+class as a ring class."""
+
+import functools
+
+from hhi.exactnum import LaurentPoly
+from hhi.mzeron import CohClass, full_mask, integrate, psi_marking
+
+
+@functools.lru_cache(maxsize=None)
+def laminar_monomials(n, degree):
+    """All nonzero monomials of the given degree on the n-marked space,
+    sorted (exhaustive; small n only)."""
+    masks = range(1, full_mask(n) + 1)
+    out = []
+
+    def grow(mono, start, depth):
+        if depth == degree:
+            out.append(tuple(sorted(mono.items())))
+            return
+        for idx in range(start, len(masks)):
+            m = masks[idx]
+            if all((m & s == m) or (m & s == s) or not (m & s) for s in mono):
+                grown = dict(mono)
+                grown[m] = grown.get(m, 0) + 1
+                grow(grown, idx, depth + 1)
+
+    grow({}, 0, 0)
+    return tuple(sorted(out))
+
+
+def cohomologically_zero(cls):
+    """A class vanishes in cohomology iff it pairs to zero with every
+    laminar monomial of complementary degree."""
+    n, nvars = cls.n, cls.nvars
+    one = LaurentPoly.one(nvars)
+    for deg in range(n - 2):
+        part = cls.degree_part(deg)
+        if part.is_zero():
+            continue
+        for mono in laminar_monomials(n, n - 3 - deg):
+            if not integrate(part * CohClass(n, nvars, {mono: one})).is_zero():
+                return False
+    return True
+
+
+def weighted_as_coh_class(w, n, nvars):
+    """Substitute H -> psi_n in weighted_class's {j: coefficient of H^j}."""
+    psi_n = psi_marking(n, nvars, n)
+    return sum((CohClass.scalar(n, nvars, c) * psi_n ** j for j, c in w.items()),
+               CohClass.zero(n, nvars))

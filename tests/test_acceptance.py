@@ -16,49 +16,11 @@ from hhi.mzeron import CohClass, full_mask, integrate, psi_marking, psi_subset
 from hhi.orbifold import OrbifoldData
 from hhi.recursion import c3z3_direct, c3z3_mirror, c3z3_series, \
     c3z3_weighted, comb_recursion
+from ring_helpers import cohomologically_zero, weighted_as_coh_class
 
 
 def _report(name, t0):
     print("%s: PASS (%.1fs)" % (name, time.time() - t0))
-
-
-def weighted_as_coh_class(w, n, nvars):
-    """Substitute H -> psi_n in weighted_class's {j: coefficient of H^j}."""
-    psi_n = psi_marking(n, nvars, n)
-    return sum((CohClass.scalar(n, nvars, c) * psi_n ** j for j, c in w.items()),
-               CohClass.zero(n, nvars))
-
-
-def _laminar_probes(n, need):
-    """All degree-`need` laminar monomials on the n-marked space."""
-    masks = list(range(1, full_mask(n) + 1))
-
-    def gen(mono, start, depth):
-        if depth == need:
-            yield tuple(sorted(mono.items()))
-            return
-        for idx in range(start, len(masks)):
-            m = masks[idx]
-            if all((m & s == m) or (m & s == s) or not (m & s) for s in mono):
-                grown = dict(mono)
-                grown[m] = grown.get(m, 0) + 1
-                yield from gen(grown, idx, depth + 1)
-
-    yield from gen({}, 0, 0)
-
-
-def _cohomologically_zero(cls, n, nvars):
-    """A class vanishes in cohomology iff it pairs to zero with every
-    laminar monomial of complementary degree."""
-    for deg in range(n - 2):
-        part = cls.degree_part(deg)
-        if part.is_zero():
-            continue
-        for mono in _laminar_probes(n, n - 3 - deg):
-            probe = CohClass(n, nvars, {mono: LaurentPoly.one(nvars)})
-            if not integrate(part * probe).is_zero():
-                return False
-    return True
 
 
 def _age_one_elements(r, weights):
@@ -205,7 +167,7 @@ def test_criterion_7_ring_relation_suite():
             for m in range(1, full_mask(n) + 1):
                 if (m >> (i - 1) & 1) and (m >> (j - 1) & 1):
                     rel = rel + CohClass.generator(n, 1, m)
-            assert _cohomologically_zero(rel, n, 1), (n, i, j)
+            assert cohomologically_zero(rel), (n, i, j)
     for n in range(4, 8):
         tmasks = [m for m in range(1, full_mask(n))
                   if 1 <= m.bit_count() <= n - 2]
@@ -218,7 +180,7 @@ def test_criterion_7_ring_relation_suite():
                 if (m & tmask) == tmask and m != tmask and (m >> (i - 1) & 1):
                     total = total + CohClass.generator(n, 1, m)
             rel = CohClass.generator(n, 1, tmask) * total
-            assert _cohomologically_zero(rel, n, 1), (n, tmask, i)
+            assert cohomologically_zero(rel), (n, tmask, i)
 
     # (b) the subset-product identity: for nonnegative rational deltas,
     # prod over T containing marking 1 of
@@ -245,7 +207,7 @@ def test_criterion_7_ring_relation_suite():
                     term = term * psi * (-d)
                     inv = inv + term
                 prod = prod * (num * inv)
-            assert _cohomologically_zero(prod - CohClass.one(n, 1), n, 1), \
+            assert cohomologically_zero(prod - CohClass.one(n, 1)), \
                 (n, deltas)
 
     # (c) anchored integrals
@@ -271,7 +233,7 @@ def test_criterion_7_ring_relation_suite():
                 shifted = [row[:] for row in deltas]
                 shifted[a][i] = shifted[a][i] + step
                 moved = compact_product(n, nvars, shifted, pref)
-                assert _cohomologically_zero(moved - base, n, nvars), \
+                assert cohomologically_zero(moved - base), \
                     (data, a, i, step)
     _report("criterion 7 (ring relation suite)", t0)
 

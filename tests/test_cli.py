@@ -120,6 +120,13 @@ def test_invariant_bad_usage_exits_one(capsys):
     assert rc == 1
 
 
+def test_invariant_empty_psi_list_exits_one(capsys, isolated_cwd):
+    """An empty --psi list is a wrong count, not the all-zero default."""
+    assert run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1",
+               "--psi", "") == (1, "", "error: need one psi exponent per marking\n")
+    assert not (isolated_cwd / "hhi-cache.json").exists()
+
+
 @pytest.mark.parametrize("args,expected", [
     (["-w", "1,1,1", "-k", "-2,1,1"], (0, "direct = 1/3\n", "")),
     (["-w", "-2,1,1", "-k", "1,1,1"], (0, "direct = 1/3\n", "")),

@@ -11,6 +11,7 @@ from hhi.invariants import InvariantKey, invariant_direct
 from hhi.mzeron import (CohClass, full_mask, integrate, mask_of, psi_marking,
                         psi_subset)
 from hhi.orbifold import OrbifoldData
+from ring_helpers import cohomologically_zero, weighted_as_coh_class
 
 
 def test_inv_linear_times_linear_is_one():
@@ -148,37 +149,6 @@ def test_forms_agree_small_sweep(r, weights):
             assert euler_class_compact(d) == euler_class_mainthm(d), d
 
 
-def _cohomologically_equal(a, b, n, nvars):
-    """Pair the difference of two classes with every laminar monomial of
-    complementary degree; equality in the cohomology ring is exactly
-    vanishing of all these integrals."""
-    diff = a - b
-    masks = list(range(1, full_mask(n) + 1))
-    for deg in range(n - 2):
-        part = diff.degree_part(deg)
-        if part.is_zero():
-            continue
-        need = n - 3 - deg
-
-        def probes(mono, start, depth):
-            if depth == need:
-                yield tuple(sorted(mono.items()))
-                return
-            for idx in range(start, len(masks)):
-                m = masks[idx]
-                if all((m & s == m) or (m & s == s) or not (m & s)
-                       for s in mono):
-                    grown = dict(mono)
-                    grown[m] = grown.get(m, 0) + 1
-                    yield from probes(grown, idx, depth + 1)
-
-        for mono in probes({}, 0, 0):
-            probe = CohClass(n, nvars, {mono: LaurentPoly.one(nvars)})
-            if not integrate(part * probe).is_zero():
-                return False
-    return True
-
-
 def test_compact_product_periodicity():
     """Shifting a single age exponent by one (keeping the prefactor
     fixed) does not change the compact-form product in cohomology.  The
@@ -200,10 +170,10 @@ def test_compact_product_periodicity():
                 shifted = [row[:] for row in deltas]
                 shifted[a][i] = shifted[a][i] + 1
                 up = compact_product(n, nvars, shifted, pref)
-                assert _cohomologically_equal(up, base, n, nvars), (data, a, i)
+                assert cohomologically_zero(up - base), (data, a, i)
                 shifted[a][i] = shifted[a][i] - 2
                 down = compact_product(n, nvars, shifted, pref)
-                assert _cohomologically_equal(down, base, n, nvars), (data, a, i)
+                assert cohomologically_zero(down - base), (data, a, i)
 
 
 def test_weighted_class_example():
@@ -223,13 +193,6 @@ def test_weighted_class_reciprocal_factor():
     """Untwisted body markings give the index p = 0, a reciprocal 1/t_a."""
     d = OrbifoldData(2, (1,), (0, 0, 0, 0))
     assert weighted_class(d) == {0: LaurentPoly.var_power(1, 1, -1)}
-
-
-def weighted_as_coh_class(w, n, nvars):
-    """Substitute H -> psi_n in weighted_class's {j: coefficient of H^j}."""
-    psi_n = psi_marking(n, nvars, n)
-    return sum((CohClass.scalar(n, nvars, c) * psi_n ** j for j, c in w.items()),
-               CohClass.zero(n, nvars))
 
 
 def test_wall_crossing_reconstruction():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from hhi.exactnum import LaurentPoly, rational
 from hhi.mzeron import (CohClass, full_mask, integral_monomial, integrate,
                         mask_of, markings_of, merge_monomials, mono_degree,
-                        psi_integral, psi_marking, psi_subset,
-                        restrict_monomial)
+                        psi_integral, psi_marking, psi_subset)
+from ring_helpers import cohomologically_zero, laminar_monomials
 
 
 def D(n, *markings):
@@ -92,6 +93,64 @@ def test_integrate_returns_laurent():
     assert integrate(c) == t
 
 
+def _remap(mask, positions):
+    """Compress the bits of mask through the sorted bit-position list."""
+    out = 0
+    for newbit, oldbit in enumerate(positions):
+        if mask >> oldbit & 1:
+            out |= 1 << newbit
+    return out
+
+
+def restrict_monomial(n, mono, tmask):
+    """Restrict a laminar monomial containing D(tmask) to that divisor, on
+    bitmasks: the oracle for the integration's split of the forest tree.
+
+    Returns a list of (integer coefficient, n_left, mono_left, n_right,
+    mono_right).  The left factor is the moduli of the T-component (the
+    node is its distinguished marking); on the right the original n-th
+    marking stays distinguished and the node becomes the last ordinary
+    marking.  One factor of D(tmask) is consumed; its remaining powers
+    split binomially into the two node psi classes.
+    """
+    m = tmask.bit_count()
+    if not 2 <= m <= n - 2:
+        raise ValueError("can only restrict to a proper boundary divisor")
+    d = dict(mono)
+    if tmask not in d:
+        raise ValueError("monomial has no D(T) factor")
+    e_t = d.pop(tmask)
+    tbits = [b for b in range(n - 1) if tmask >> b & 1]
+    obits = [b for b in range(n - 1) if not tmask >> b & 1]
+    n_l = m + 1  # T (re-labeled 1..m) plus the node; node distinguished
+    n_r = n - m + 1  # survivors, node (last ordinary), original marking n
+    full_l = full_mask(n_l)
+    node_r = 1 << (n_r - 2)
+    left, right = {}, {}
+    for mask, e in d.items():
+        inter = mask & tmask
+        if inter == mask:  # S strictly inside T
+            left[_remap(mask, tbits)] = left.get(_remap(mask, tbits), 0) + e
+        elif not inter:  # S disjoint from T
+            right[_remap(mask, obits)] = right.get(_remap(mask, obits), 0) + e
+        elif inter == tmask:  # S strictly contains T: collapse T to the node
+            rm = _remap(mask & ~tmask, obits) | node_r
+            right[rm] = right.get(rm, 0) + e
+        else:
+            return []  # incomparable overlap: the product was zero anyway
+    out = []
+    for j in range(e_t):
+        c = math.comb(e_t - 1, j)
+        lm = dict(left)
+        if j:
+            lm[full_l] = lm.get(full_l, 0) + j  # (-psi_node)^j on the T side
+        rm = dict(right)
+        if e_t - 1 - j:
+            rm[node_r] = rm.get(node_r, 0) + (e_t - 1 - j)
+        out.append((c, n_l, tuple(sorted(lm.items())), n_r, tuple(sorted(rm.items()))))
+    return out
+
+
 def test_restrict_monomial_simple():
     n = 5
     mono = ((mask_of([1, 2]), 1), (mask_of([4]), 1))
@@ -137,38 +196,6 @@ def test_restrict_to_boundary_excess_is_sum_of_node_psis():
     ])
 
 
-def laminar_monomials(n, degree):
-    """All nonzero monomials of the given degree (exhaustive; small n only)."""
-    masks = [m for m in range(1, full_mask(n) + 1)]
-    out = set()
-
-    def grow(mono, start):
-        d = sum(mono.values())
-        if d == degree:
-            out.add(tuple(sorted(mono.items())))
-            return
-        for m in masks[start:]:
-            if all((m & s == m) or (m & s == s) or not (m & s) for s in mono):
-                mono2 = dict(mono)
-                mono2[m] = mono2.get(m, 0) + 1
-                grow(mono2, masks.index(m))
-
-    grow({}, 0)
-    return sorted(out)
-
-
-def _check_relation_integrates_to_zero(n, relation):
-    """A class is zero in cohomology iff it integrates to zero against
-    every monomial of complementary degree."""
-    for deg in range(n - 3 + 1):
-        part = relation.degree_part(deg)
-        if part.is_zero():
-            continue
-        for mono in laminar_monomials(n, n - 3 - deg):
-            probe = CohClass(n, 1, {mono: LaurentPoly.one(1)})
-            assert integral(part * probe) == 0
-
-
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_keel_relation(n):
     """For any i < j < n, the sum of D(T) over subsets T containing both
@@ -183,9 +210,9 @@ def test_keel_relation(n):
                 total = total + CohClass.generator(n, 1, mask)
         sums.append(total)
     for s in sums:
-        _check_relation_integrates_to_zero(n, s)
+        assert cohomologically_zero(s)
     for s in sums[1:]:
-        _check_relation_integrates_to_zero(n, s - sums[0])
+        assert cohomologically_zero(s - sums[0])
 
 
 @pytest.mark.parametrize("n", [5, 6])
@@ -205,7 +232,7 @@ def test_annihilation_relation(n):
         for mask in range(1, full_mask(n) + 1):
             if mask & tmask == tmask and mask >> (i - 1) & 1:
                 total = total + CohClass.generator(n, 1, mask)
-        _check_relation_integrates_to_zero(n, CohClass.generator(n, 1, tmask) * total)
+        assert cohomologically_zero(CohClass.generator(n, 1, tmask) * total)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
@@ -222,9 +249,10 @@ def test_node_psi_split_integral(n):
 
 
 def test_integral_pick_order_invariance():
-    """The recursive integration may consume boundary symbols in any
-    order; spot-check by comparing against brute-force restriction in
-    randomized order."""
+    """Restricting bitmask monomials to their walls in random order, the
+    oracle, gives the integral that the forest recursion computes: on
+    every monomial of degree n-3 for n <= 6, and on a seeded sample at
+    n = 7."""
     rng = random.Random(11)
 
     def integrate_random_order(n, mono):
@@ -245,10 +273,11 @@ def test_integral_pick_order_invariance():
             total += rational(c) * integrate_random_order(n_l, ml) * integrate_random_order(n_r, mr)
         return total
 
-    for n in (5, 6):
-        for mono in laminar_monomials(n, n - 3)[:60]:
-            for _ in range(3):
-                assert integrate_random_order(n, mono) == integral_monomial(n, mono)
+    cases = [(n, mono) for n in range(3, 7) for mono in laminar_monomials(n, n - 3)]
+    cases += [(7, mono) for mono in rng.sample(laminar_monomials(7, 4), 1000)]
+    for n, mono in cases:
+        for _ in range(3):
+            assert integrate_random_order(n, mono) == integral_monomial(n, mono)
 
 
 @pytest.mark.parametrize("n", [5, 6])
