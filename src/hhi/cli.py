@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text):
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [int(v) for v in text.split(",")] if text else []
     except ValueError:
         raise argparse.ArgumentTypeError("expected a comma-separated integer list")
 
@@ -98,16 +98,13 @@ def _cache_path(args):
     return os.environ.get("HHI_CACHE", DEFAULT_CACHE)
 
 
+def _make_data(args):
+    return OrbifoldData(args.order, args.weights, args.elements)
+
+
 def _make_key(args):
-    if args.order < 1:
-        raise ValueError("group order must be positive")
-    data = OrbifoldData(args.order, args.weights, args.elements)
-    psi = getattr(args, "psi", None)
-    if psi is None:
-        psi = [0] * data.n
-    if len(psi) != data.n:
-        raise ValueError("need one psi exponent per marking")
-    return InvariantKey(data, psi)
+    data = _make_data(args)
+    return InvariantKey(data, [0] * data.n if args.psi is None else args.psi)
 
 
 def _print_poly(label, val, as_float=False, as_json=False):
@@ -174,19 +171,19 @@ def cmd_invariant(args):
 
 
 def cmd_euler(args):
-    key = _make_key(args)
+    data = _make_data(args)
     classes = {}
     if args.form in ("compact", "both"):
-        classes["compact"] = euler_class_compact(key.data)
+        classes["compact"] = euler_class_compact(data)
     if args.form in ("mainthm", "both"):
-        classes["mainthm"] = euler_class_mainthm(key.data)
+        classes["mainthm"] = euler_class_mainthm(data)
     for name in sorted(classes):
         print(json.dumps({name: classes[name].to_obj()}, sort_keys=True))
     return _report_agreement(classes)
 
 
 def cmd_weighted(args):
-    w = weighted_class(_make_key(args).data)
+    w = weighted_class(_make_data(args))
     obj = {str(j): c.to_obj() for j, c in sorted(w.items())}
     print(json.dumps(obj, sort_keys=True))
     return 0

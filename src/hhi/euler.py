@@ -251,7 +251,6 @@ def scaled_compact_class(data, start):
 
 def euler_class_compact(data):
     """Euler class via the all-subsets product against a t-monomial prefactor."""
-    _require_admissible(data)  # before the start, which needs n >= 3
     return unscale(*scaled_compact_class(data, CohClass.one(data.n, data.N)))
 
 

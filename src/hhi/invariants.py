@@ -5,8 +5,8 @@ insertions over M0n and divides by the group order (the stack has a
 global mu_r automorphism group); invariant_weighted does the same for
 the weighted-space model, where only a polynomial in the distinguished
 psi class survives and integration is a multinomial coefficient.
-Inadmissible monodromy data gives zero for both (the moduli space is
-empty).
+Monodromies that do not multiply to one give zero for both (the moduli
+space is empty); OrbifoldData already refuses fewer than three markings.
 
 Cached values are exact strings in a versioned JSON file; writes go
 through a temporary file and an atomic rename.
@@ -26,26 +26,21 @@ CACHE_FORMAT = "hhi/1"
 
 class InvariantKey:
     """An invariant's input data: the orbifold, the monodromies, and the
-    psi exponent at each marking.  The n-th marking is distinguished."""
+    psi exponent at each marking.  The n-th marking is distinguished.
+    Invariants are symmetric in the first n-1 (element, psi exponent)
+    pairs, so they are stored sorted: relabelings give equal keys."""
 
     __slots__ = ("data", "psi")
 
     def __init__(self, data, psi):
-        self.data = data
-        self.psi = tuple(int(v) for v in psi)
-        if len(self.psi) != data.n:
+        psi = tuple(int(v) for v in psi)
+        if len(psi) != data.n:
             raise ValueError("need one psi exponent per marking")
-        if any(v < 0 for v in self.psi):
+        if any(v < 0 for v in psi):
             raise ValueError("psi exponents must be nonnegative")
-
-    def canonical(self):
-        """Sort the first n-1 (element, psi-exponent) pairs; the
-        distinguished marking keeps its place.  Invariants are symmetric
-        under this relabeling."""
-        pairs = sorted(zip(self.data.elements[:-1], self.psi[:-1]))
-        elements = [k for k, _ in pairs] + [self.data.elements[-1]]
-        psi = [v for _, v in pairs] + [self.psi[-1]]
-        return InvariantKey(OrbifoldData(self.data.r, self.data.weights, elements), psi)
+        *body, last = zip(data.elements, psi)
+        elements, self.psi = zip(*sorted(body), last)
+        self.data = OrbifoldData(data.r, data.weights, elements)
 
     def __eq__(self, other):
         if not isinstance(other, InvariantKey):
@@ -56,12 +51,11 @@ class InvariantKey:
         return hash((self.data, self.psi))
 
     def cache_string(self):
-        c = self.canonical()
         return "r=%d;w=%s;k=%s;v=%s" % (
-            c.data.r,
-            ",".join(map(str, c.data.weights)),
-            ",".join(map(str, c.data.elements)),
-            ",".join(map(str, c.psi)),
+            self.data.r,
+            ",".join(map(str, self.data.weights)),
+            ",".join(map(str, self.data.elements)),
+            ",".join(map(str, self.psi)),
         )
 
     def to_obj(self):
@@ -139,7 +133,7 @@ def invariant_weighted(key, cache=None):
 
 
 class InvariantCache:
-    """Exact invariant values keyed by canonical input data and method."""
+    """Exact invariant values keyed by input data and method."""
 
     def __init__(self, path=None):
         self.path = path
@@ -163,7 +157,7 @@ class InvariantCache:
 
     def put(self, key, method, value):
         self.records[self._record_key(key, method)] = {
-            "key": key.canonical().to_obj(),
+            "key": key.to_obj(),
             "method": method,
             "coarse": False,
             "value": value.to_obj(),

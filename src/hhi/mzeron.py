@@ -32,14 +32,6 @@ def full_mask(n):
     return (1 << (n - 1)) - 1
 
 
-def mask_of(markings):
-    """Bitmask of an iterable of 1-based marking indices."""
-    m = 0
-    for i in markings:
-        m |= 1 << (i - 1)
-    return m
-
-
 def markings_of(mask):
     """Sorted 1-based marking indices of a bitmask."""
     out = []
@@ -227,10 +219,6 @@ class CohClass:
 
     def is_zero(self):
         return not self.terms
-
-    def degree_part(self, d):
-        return CohClass(self.n, self.nvars,
-                        {m: c for m, c in self.terms.items() if mono_degree(m) == d})
 
     def to_obj(self):
         out = []

@@ -3,7 +3,8 @@
 A group element is recorded by its exponent k in {0, ..., r-1}; the action
 on the a-th coordinate direction is by the w_a-th power of the chosen
 primitive r-th root of unity.  The age of element k in direction a is the
-ordinary fractional part of w_a * k / r, which lies in [0, 1).
+ordinary fractional part of w_a * k / r, which lies in [0, 1).  Genus-zero
+moduli need n >= 3 markings, so fewer is refused at construction.
 """
 
 from .exactnum import rational
@@ -27,6 +28,8 @@ class OrbifoldData:
         self.elements = tuple(int(k) % self.r for k in elements)
         if not self.weights:
             raise ValueError("need at least one coordinate direction")
+        if len(self.elements) < 3:
+            raise ValueError("need at least three markings")
 
     @property
     def n(self):
@@ -53,8 +56,8 @@ class OrbifoldData:
         return sum(self.elements[i - 1] for i in markings) % self.r
 
     def admissible(self):
-        """Whether the monodromies can occur on a genus-zero orbifold curve."""
-        return self.n >= 3 and sum(self.elements) % self.r == 0
+        """Whether the monodromies multiply to one, as on a genus-zero orbifold curve."""
+        return sum(self.elements) % self.r == 0
 
     def __eq__(self, other):
         if not isinstance(other, OrbifoldData):

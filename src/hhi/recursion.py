@@ -143,12 +143,12 @@ def _head_key(key, teeth, node_psis=None):
 
 
 def tooth_placements(key):
-    """The tooth sets of a canonical key, one per multiset of tooth labels.
+    """The tooth sets of a key, one per multiset of tooth labels.
 
-    Markings 1..n-1 are labeled by (element, psi exponent), and in a
-    canonical key equal labels sit next to each other.  A tooth's shape
-    is the number of markings it takes from each label; its size lies in
-    2..n-2.  For every nonempty multiset of shapes that fits in the body,
+    Markings 1..n-1 are labeled by (element, psi exponent), and a key
+    stores them sorted, so equal labels sit next to each other.  A tooth's
+    shape is the number of markings it takes from each label; its size lies
+    in 2..n-2.  For every nonempty multiset of shapes that fits in the body,
     yields (teeth, count): teeth built from the first unused markings of
     each label, and the number of set partitions of 1..n-1 whose blocks
     of size >= 2 carry those labels,
@@ -191,7 +191,7 @@ def comb_recursion(key, memo=None):
     _check_comb_input(key)
     if memo is None:
         memo = {}
-    return _comb_value(key.canonical(), memo, {})
+    return _comb_value(key, memo, {})
 
 
 def _tooth_weight(data, tooth, teeth_seen):
@@ -206,8 +206,7 @@ def _tooth_weight(data, tooth, teeth_seen):
 
 
 def _comb_value(key, memo, teeth_seen):
-    ck = key.cache_string()
-    hit = memo.get(ck)
+    hit = memo.get(key)
     if hit is not None:
         return hit
     data = key.data
@@ -219,8 +218,8 @@ def _comb_value(key, memo, teeth_seen):
         w = rational((-1) ** (1 + sum(len(t) - 1 for t in teeth)) * count)
         for f in factors:
             w = w * f
-        val = val + _comb_value(_head_key(key, teeth).canonical(), memo, teeth_seen) * w
-    memo[ck] = val
+        val = val + _comb_value(_head_key(key, teeth), memo, teeth_seen) * w
+    memo[key] = val
     return val
 
 
@@ -229,7 +228,7 @@ def equivariant_comb_expand(key):
     and equivariant refinements.
 
     Returns a list of (head InvariantKey, weight LaurentPoly), one entry
-    per canonical head with a nonzero weight, such that
+    per head with a nonzero weight, such that
         direct(key) = weighted(key) + sum of weight * direct(head).
     Teeth may carry psi insertions; a tooth T with psi exponents nu_i
     and l0 = |T| - 2 - sum(nu_i) >= 0 contributes, for each k > l0 up to
@@ -239,7 +238,6 @@ def equivariant_comb_expand(key):
     where p runs over the positive signed indices of (age sum in
     direction a) - 1, and the merged marking gets psi exponent k-1-l0.
     """
-    key = key.canonical()
     data = key.data
     if not data.admissible():
         raise ValueError("inadmissible data")
@@ -254,7 +252,7 @@ def equivariant_comb_expand(key):
         for opts in per_tooth:
             combos = [(exps + [e], w * ow) for exps, w in combos for e, ow in opts]
         for node_psis, w in combos:
-            head = _head_key(key, teeth, node_psis).canonical()
+            head = _head_key(key, teeth, node_psis)
             heads[head] = heads[head] + w if head in heads else w
     return [(head, w) for head, w in heads.items() if w]
 

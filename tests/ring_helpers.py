@@ -1,11 +1,20 @@
-"""Helpers shared by the ring tests: the laminar monomials of a degree,
-the check that a class vanishes in cohomology, and the weighted-space
-class as a ring class."""
+"""Helpers shared by the ring tests: bitmasks of marking sets, the
+laminar monomials of a degree, a class's part of one degree, the check
+that a class vanishes in cohomology, and the weighted-space class as a
+ring class."""
 
 import functools
 
 from hhi.exactnum import LaurentPoly
-from hhi.mzeron import CohClass, full_mask, integrate, psi_marking
+from hhi.mzeron import CohClass, full_mask, integrate, mono_degree, psi_marking
+
+
+def mask_of(markings):
+    """Bitmask of an iterable of 1-based marking indices."""
+    m = 0
+    for i in markings:
+        m |= 1 << (i - 1)
+    return m
 
 
 @functools.lru_cache(maxsize=None)
@@ -30,13 +39,19 @@ def laminar_monomials(n, degree):
     return tuple(sorted(out))
 
 
+def degree_part(cls, d):
+    """The terms of cls of degree d."""
+    return CohClass(cls.n, cls.nvars,
+                    {m: c for m, c in cls.terms.items() if mono_degree(m) == d})
+
+
 def cohomologically_zero(cls):
     """A class vanishes in cohomology iff it pairs to zero with every
     laminar monomial of complementary degree."""
     n, nvars = cls.n, cls.nvars
     one = LaurentPoly.one(nvars)
     for deg in range(n - 2):
-        part = cls.degree_part(deg)
+        part = degree_part(cls, deg)
         if part.is_zero():
             continue
         for mono in laminar_monomials(n, n - 3 - deg):

@@ -140,6 +140,37 @@ def test_comma_list_starting_with_minus_is_a_value(capsys, args, expected):
     assert run(capsys, "invariant", "-r", "3", "--no-cache", *args) == expected
 
 
+@pytest.mark.parametrize("args", [
+    ["-w", "1,1,1", "-k", "1,,1,1"],
+    ["-w", "1,1,1", "-k", "1,1,1,"],
+    ["-w", "1,,1,1", "-k", "1,1,1"],
+    ["-w", "1,1,1", "-k", "1,1,1", "--psi", "0,,0,0"],
+])
+def test_empty_list_entry_exits_one(capsys, args):
+    """An empty entry in a comma list is a bad value, not a separator to
+    skip: "1,,1,1" must not become the three markings "1,1,1"."""
+    rc, out, err = run(capsys, "invariant", "-r", "3", "--no-cache", *args)
+    assert (rc, out) == (1, "")
+    assert err.splitlines()[-1].endswith(": expected a comma-separated integer list")
+
+
+@pytest.mark.parametrize("elements", ["", "1", "0,0"])
+@pytest.mark.parametrize("command", [
+    ["invariant", "--method", "direct", "--cache", "c.json"],
+    ["invariant", "--method", "weighted", "--cache", "c.json"],
+    ["invariant", "--method", "comb", "--cache", "c.json"],
+    ["invariant", "--method", "all", "--cache", "c.json"],
+    ["euler"],
+    ["weighted"],
+], ids=lambda argv: "-".join(argv[:3:2]))
+def test_unstable_marking_count_exits_one(capsys, isolated_cwd, command, elements):
+    """Fewer than three markings has no genus-zero moduli space: a bad
+    input on every command, refused before a cache file is touched."""
+    assert run(capsys, *command, "-r", "3", "-w", "1,1,1", "-k", elements) == \
+        (1, "", "error: need at least three markings\n")
+    assert not os.listdir(isolated_cwd)
+
+
 def test_unknown_subcommand_exits_one(capsys):
     rc, _, _ = run(capsys, "frobnicate")
     assert rc == 1

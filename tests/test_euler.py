@@ -8,10 +8,9 @@ from hhi.euler import (_biv_mul, _index_product, compact_product, euler_class_co
                        euler_class_mainthm, inv_linear, scaled_compact_product,
                        unscale, wall_factor, weighted_class)
 from hhi.invariants import InvariantKey, invariant_direct
-from hhi.mzeron import (CohClass, full_mask, integrate, mask_of, psi_marking,
-                        psi_subset)
+from hhi.mzeron import CohClass, full_mask, integrate, psi_marking, psi_subset
 from hhi.orbifold import OrbifoldData
-from ring_helpers import cohomologically_zero, weighted_as_coh_class
+from ring_helpers import cohomologically_zero, mask_of, weighted_as_coh_class
 
 
 def test_inv_linear_times_linear_is_one():

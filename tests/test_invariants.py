@@ -1,13 +1,17 @@
+import itertools
 import json
 import os
-import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hhi.euler import euler_class_compact, weighted_class
 from hhi.exactnum import LaurentPoly, rational
 from hhi.invariants import (InvariantCache, InvariantKey, invariant_direct,
                             invariant_weighted)
+from hhi.mzeron import CohClass, integrate, psi_integral, psi_marking
 from hhi.orbifold import OrbifoldData
+from hhi.recursion import comb_recursion
 
 
 def key(r, weights, elements, psi=None):
@@ -15,14 +19,39 @@ def key(r, weights, elements, psi=None):
     return InvariantKey(data, psi or (0,) * data.n)
 
 
+# An InvariantKey sorts its body, so the two helpers below take the data
+# and psi exponents as given: they reach the class builds in the caller's
+# marking order.
+
+def direct_in_order(data, psi):
+    """invariant_direct's integral: the compact Euler class times the psi
+    insertions, integrated over M0n and divided by r."""
+    n = data.n
+    insertions = CohClass.one(n, data.N)
+    for i, v in enumerate(psi, 1):
+        insertions = insertions * psi_marking(n, data.N, i) ** v
+    return integrate(euler_class_compact(data) * insertions).scale_div(data.r)
+
+
+def weighted_in_order(data, psi):
+    """invariant_weighted's value: weighted_class's coefficients paired
+    with psi integrals, divided by r."""
+    n = data.n
+    cls = weighted_class(data)
+    val = LaurentPoly.zero(data.N)
+    for j in range(n - 2):
+        w = psi_integral(n, list(psi[:-1]) + [psi[-1] + j])
+        if w:
+            val = val + cls.get(j, 0) * w
+    return val.scale_div(data.r)
+
+
 def test_key_canonicalization_sorts_body_markings():
     k = key(3, (1, 1), (2, 1, 2, 1), (1, 0, 0, 2))
-    c = k.canonical()
-    assert c.data.elements == (1, 2, 2, 1)
-    assert c.psi == (0, 0, 1, 2)
+    assert k.data.elements == (1, 2, 2, 1)
+    assert k.psi == (0, 0, 1, 2)
     # the distinguished last marking never moves
-    assert c.data.elements[-1] == k.data.elements[-1]
-    assert c.psi[-1] == k.psi[-1]
+    assert (k.data.elements[-1], k.psi[-1]) == (1, 2)
 
 
 def test_key_cache_string_is_relabeling_invariant():
@@ -31,6 +60,69 @@ def test_key_cache_string_is_relabeling_invariant():
     assert k1.cache_string() == k2.cache_string()
     k3 = key(4, (1, 3), (1, 2, 3, 2), (0, 1, 2, 1))
     assert k1.cache_string() != k3.cache_string()
+
+
+# (r, weights, the elements of age one) for r <= 6 and N = 2, 3
+AGE_ONE_DATA = [(r, w, ones) for r in range(2, 7) for n_dirs in (2, 3)
+                for w in itertools.combinations_with_replacement(range(r), n_dirs)
+                if (ones := [k for k in range(r) if sum(x * k % r for x in w) == r])]
+
+
+@st.composite
+def relabeled_markings(draw, age_one=False):
+    """(r, weights, markings, relabeled): two lists of (element, psi)
+    pairs whose first n-1 entries are permutations of each other, r <= 6,
+    N <= 3, n <= 6, monodromies closing up to the identity.  With age_one,
+    every body element has age one and the body carries no psi (the comb
+    recursion's inputs)."""
+    if age_one:
+        r, weights, ones = draw(st.sampled_from(AGE_ONE_DATA))
+        body = [(k, 0) for k in draw(st.lists(st.sampled_from(ones), min_size=2, max_size=5))]
+    else:
+        r = draw(st.integers(1, 6))
+        weights = draw(st.lists(st.integers(0, r - 1), min_size=1, max_size=3))
+        body = draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, 2)),
+                             min_size=2, max_size=5))
+    last = (-sum(k for k, _ in body) % r, draw(st.integers(0, 2)))
+    return r, weights, body + [last], draw(st.permutations(body)) + [last]
+
+
+def data_and_psi(r, weights, markings):
+    return OrbifoldData(r, weights, [k for k, _ in markings]), [v for _, v in markings]
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_markings())
+def test_relabeled_keys_are_one_key(case):
+    """Relabeling the body gives one key, and the class builds, run in
+    either marking order, give that key's invariants."""
+    r, weights, markings, relabeled = case
+    orders = [data_and_psi(r, weights, markings), data_and_psi(r, weights, relabeled)]
+    k1, k2 = (InvariantKey(d, psi) for d, psi in orders)
+    assert k1 == k2 and hash(k1) == hash(k2)
+    assert k1.cache_string() == k2.cache_string()
+    assert k1.to_obj() == k2.to_obj()
+    weighted = invariant_weighted(k1)
+    direct = invariant_direct(k1) if k1.data.n <= 5 else None
+    for d, psi in orders:
+        assert weighted_in_order(d, psi) == weighted
+        if direct is not None:
+            assert direct_in_order(d, psi) == direct
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabeled_markings(age_one=True))
+def test_relabeled_keys_give_one_comb_value(case):
+    """The comb runs on the key as built; its value is the direct
+    integral in either marking order."""
+    r, weights, markings, relabeled = case
+    orders = [data_and_psi(r, weights, markings), data_and_psi(r, weights, relabeled)]
+    k1, k2 = (InvariantKey(d, psi) for d, psi in orders)
+    assert k1 == k2
+    value = comb_recursion(k1)
+    if k1.data.n <= 5:
+        for d, psi in orders:
+            assert direct_in_order(d, psi) == value
 
 
 def test_key_validation():
@@ -117,27 +209,23 @@ def test_dimension_mismatch_vanishes():
 
 
 def test_relabeling_symmetry():
-    rng = random.Random(7)
-    base = key(4, (1, 2, 3), (1, 2, 3, 1, 1), (1, 0, 0, 0, 0))
+    """The class builds are symmetric in the body markings: every order
+    of the body, sent past the key to the builds, gives the key's value."""
+    elements, psi = (1, 2, 3, 1, 1), (1, 0, 0, 0, 0)
+    base = key(4, (1, 2, 3), elements, psi)
     v = invariant_direct(base)
     assert not v.is_zero()
-    for _ in range(3):
-        order = list(range(4))
-        rng.shuffle(order)
-        elements = [base.data.elements[i] for i in order] + [base.data.elements[-1]]
-        psi = [base.psi[i] for i in order] + [base.psi[-1]]
-        k = key(4, (1, 2, 3), elements, psi)
-        assert invariant_direct(k) == v
-        assert invariant_weighted(k) == invariant_weighted(base)
+    for order in itertools.permutations(range(4)):
+        data = OrbifoldData(4, (1, 2, 3), [elements[i] for i in order] + [elements[-1]])
+        order_psi = [psi[i] for i in order] + [psi[-1]]
+        assert direct_in_order(data, order_psi) == v
+        assert weighted_in_order(data, order_psi) == invariant_weighted(base)
 
 
 def test_weighted_matches_polynomial_class_pairing():
     """invariant_weighted expands the same product as weighted_class;
     pairing the latter's coefficients with psi integrals must give the
     same value."""
-    from hhi.euler import weighted_class
-    from hhi.mzeron import psi_integral
-
     cases = [
         key(2, (1,), (1, 1, 1, 1)),
         key(3, (1, 2), (1, 2, 1, 2)),
@@ -146,16 +234,7 @@ def test_weighted_matches_polynomial_class_pairing():
         key(6, (1, 5), (1, 2, 3, 4, 2), (0, 0, 0, 0, 1)),
     ]
     for k in cases:
-        data = k.data
-        n = data.n
-        cls = weighted_class(data)
-        val = LaurentPoly.zero(data.N)
-        for j in range(n - 2):
-            w = psi_integral(n, list(k.psi[:-1]) + [k.psi[-1] + j])
-            if w:
-                val = val + cls.get(j, 0) * w
-        val = val.scale_div(data.r)
-        assert invariant_weighted(k) == val, k
+        assert invariant_weighted(k) == weighted_in_order(k.data, k.psi), k
 
 
 def test_cache_round_trip(tmp_path):
@@ -171,7 +250,7 @@ def test_cache_round_trip(tmp_path):
     assert fresh.get(k, "direct") == v
     # a relabeled key hits the same record
     k2 = key(3, (1, 1, 1), (1, 1, 1), (0, 0, 0))
-    assert fresh.get(k2.canonical(), "direct") == v
+    assert fresh.get(k2, "direct") == v
 
 
 def test_cache_separates_method_and_coarse():

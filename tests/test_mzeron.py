@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational
 from hhi.mzeron import (CohClass, full_mask, integral_monomial, integrate,
-                        mask_of, markings_of, merge_monomials, mono_degree,
+                        markings_of, merge_monomials, mono_degree,
                         psi_integral, psi_marking, psi_subset)
-from ring_helpers import cohomologically_zero, laminar_monomials
+from ring_helpers import cohomologically_zero, laminar_monomials, mask_of
 
 
 def D(n, *markings):

@@ -17,6 +17,8 @@ def test_validation():
         OrbifoldData(0, (1,), (0, 0, 0))
     with pytest.raises(ValueError):
         OrbifoldData(3, (), (1, 1, 1))
+    with pytest.raises(ValueError):
+        OrbifoldData(3, (1, 1, 1), (1, 2))  # too few markings
 
 
 def test_ages():
@@ -48,7 +50,6 @@ def test_subset_order_and_merge():
 def test_admissible():
     assert OrbifoldData(3, (1, 1, 1), (1, 1, 1)).admissible()
     assert not OrbifoldData(3, (1, 1, 1), (1, 1, 2)).admissible()
-    assert not OrbifoldData(3, (1, 1, 1), (1, 2)).admissible()  # too few markings
     assert OrbifoldData(5, (1, 2, 2), (1, 1, 1, 1, 1)).admissible()
 
 
