@@ -136,7 +136,12 @@ def _report_agreement(results):
 def cmd_invariant(args):
     key = _make_key(args)
     if not key.data.admissible():
-        print("0")
+        if args.json:
+            methods = ("comb", "direct") if args.method == "all" else (args.method,)
+            for name in methods:
+                _print_poly(name, LaurentPoly.zero(key.data.N), as_json=True)
+        else:
+            print("0")
         sys.stderr.write("note: inadmissible monodromy data; the moduli space is empty\n")
         return 0
     path = _cache_path(args)

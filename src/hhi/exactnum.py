@@ -211,6 +211,8 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative exponent %d" % k)
         out = LaurentPoly.one(self.nvars)
         for _ in range(k):
             out = out * self

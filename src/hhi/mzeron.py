@@ -10,7 +10,11 @@ A product of symbols is nonzero only when the participating subsets form
 a laminar family (pairwise nested or disjoint), so classes are sparse
 dictionaries keyed by sorted (mask, exponent) tuples with Laurent
 polynomial coefficients.  Products are truncated above the socle degree
-n-3, where integration happens.
+n-3, where integration happens.  A product copies the left class for the
+right factor's constant term (1 in every Euler-class factor) and adds
+only what the factor's other terms contribute, and it keeps the degree
+of each monomial it outputs, so the next product in a chain reads the
+degrees instead of recomputing them.
 
 Integration works on the shape of a monomial's laminar forest
 (_forest_key): a tree of nodes (free markings, exponent, children) under
@@ -25,7 +29,7 @@ Once only psi symbols remain, the multinomial formula finishes the job.
 import math
 from operator import add
 
-from .exactnum import LaurentPoly, rational
+from .exactnum import RATIONAL_TYPES, LaurentPoly, rational
 
 
 def full_mask(n):
@@ -70,16 +74,19 @@ class CohClass:
     """Element of the divisor ring of M0n, truncated above degree n-3.
 
     terms maps monomials (sorted tuples of (mask, exp)) to LaurentPoly
-    coefficients in the nvars equivariant parameters.
+    coefficients in the nvars equivariant parameters.  Instances are
+    treated as immutable.  _degrees maps the monomials of a product's
+    result to their degrees; it is None on a class built any other way.
     """
 
-    __slots__ = ("n", "nvars", "terms")
+    __slots__ = ("n", "nvars", "terms", "_degrees")
 
     def __init__(self, n, nvars, terms=None):
         if n < 3:
             raise ValueError("need at least three markings")
         self.n = n
         self.nvars = nvars
+        self._degrees = None
         self.terms = {}
         if terms:
             for mono, c in terms.items():
@@ -123,7 +130,7 @@ class CohClass:
         return (self.n, self.nvars) == (other.n, other.nvars) and self.terms == other.terms
 
     def __add__(self, other):
-        if isinstance(other, (int,)) or isinstance(other, LaurentPoly):
+        if isinstance(other, RATIONAL_TYPES + (LaurentPoly,)):
             other = CohClass.scalar(self.n, self.nvars, other)
         self._check(other)
         terms = dict(self.terms)
@@ -142,7 +149,7 @@ class CohClass:
         return CohClass(self.n, self.nvars, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int,)) or isinstance(other, LaurentPoly):
+        if isinstance(other, RATIONAL_TYPES + (LaurentPoly,)):
             other = CohClass.scalar(self.n, self.nvars, other)
         return self + (-other)
 
@@ -155,63 +162,89 @@ class CohClass:
             return CohClass(self.n, self.nvars,
                             {m: c * other for m, c in self.terms.items()})
         self._check(other)
-        # The right factor's monomials are bucketed by degree once, so each
-        # left monomial visits only those that fit under the socle degree;
-        # the empty monomial needs no laminarity check, and a unit
-        # coefficient (None in a bucket, as for the constant term of every
-        # Euler-class factor) no products.  Coefficient products are summed
-        # straight into one {exp: coeff} dict per output monomial, which
-        # becomes a LaurentPoly once.  A first product is stored as is:
-        # adding it to 0 would cost a Fraction operation on the rational
-        # routes.
+        # The right factor is c0 + rest, c0 its constant term.  c0 alone
+        # gives a copy of the left terms (sharing their coefficients when c0
+        # is the unit, as in every Euler-class factor), and only left
+        # monomials with room under the socle degree n-3 meet rest, which is
+        # bucketed by degree.  A unit coefficient in rest (None in a bucket)
+        # needs no products.  The sums a left monomial adds to one output
+        # monomial go straight into one {exp: coeff} dict, started from the
+        # copy's coefficient, which becomes a LaurentPoly once; a first
+        # product is stored as is, since adding it to 0 would cost a
+        # Fraction operation on the rational routes.  The output degree of
+        # each monomial is d1 + d2, kept in _degrees for the next product.
         maxdeg = self.n - 3
         unit = LaurentPoly.one(self.nvars).terms
+        left, degrees = self.terms, self._degrees
+        if degrees is None:
+            degrees = {m: mono_degree(m) for m in left}
+            if max(degrees.values(), default=0) > maxdeg:
+                # terms above the socle degree vanish in every product
+                degrees = {m: d for m, d in degrees.items() if d <= maxdeg}
+                left = {m: left[m] for m in degrees}
+        other_degrees = other._degrees
+        c0 = None
         buckets = [[] for _ in range(maxdeg + 1)]
         for m, c in other.terms.items():
-            d = mono_degree(m)
+            if not m:
+                c0 = c
+                continue
+            d = mono_degree(m) if other_degrees is None else other_degrees[m]
             if d <= maxdeg:
                 buckets[d].append((m, None if c.terms == unit else c.terms.items()))
+        if c0 is None:
+            terms, out_degrees = {}, {}
+        else:
+            terms = dict(left) if c0.terms == unit else {m: c * c0 for m, c in left.items()}
+            out_degrees = dict(degrees)
+        low = next((d for d, bucket in enumerate(buckets) if bucket), maxdeg + 1)
         acc = {}
-        for m1, c1 in self.terms.items():
-            room = maxdeg - mono_degree(m1)
-            if room < 0:
+        for m1, c1 in left.items():
+            d1 = degrees[m1]
+            if d1 + low > maxdeg:
                 continue
-            left = c1.terms.items()
-            for bucket in buckets[:room + 1]:
-                for m2, t2 in bucket:
-                    m = merge_monomials(m1, m2) if m2 else m1
+            pairs = c1.terms.items()
+            for d2 in range(low, maxdeg - d1 + 1):
+                for m2, t2 in buckets[d2]:
+                    m = merge_monomials(m1, m2)
                     if m is None:
                         continue
                     sums = acc.get(m)
-                    if t2 is None:
-                        if sums is None:
-                            acc[m] = dict(left)
-                        else:
-                            for e, a in left:
-                                prev = sums.get(e)
-                                sums[e] = a if prev is None else prev + a
-                        continue
                     if sums is None:
-                        sums = acc[m] = {}
-                    for e1, a in left:
+                        base = terms.get(m)
+                        if base is None:
+                            out_degrees[m] = d1 + d2
+                            sums = acc[m] = {}
+                        else:
+                            sums = acc[m] = dict(base.terms)
+                    if t2 is None:
+                        for e, a in pairs:
+                            prev = sums.get(e)
+                            sums[e] = a if prev is None else prev + a
+                        continue
+                    for e1, a in pairs:
                         for e2, b in t2:
                             e = tuple(map(add, e1, e2))
                             prev = sums.get(e)
                             sums[e] = a * b if prev is None else prev + a * b
-        terms = {}
         for m, sums in acc.items():
             if not all(sums.values()):
                 sums = {e: c for e, c in sums.items() if c}
                 if not sums:
+                    terms.pop(m, None)
+                    del out_degrees[m]
                     continue
             terms[m] = LaurentPoly._of(self.nvars, sums)
         out = CohClass(self.n, self.nvars)
         out.terms = terms
+        out._degrees = out_degrees
         return out
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative exponent %d" % k)
         out = CohClass.one(self.n, self.nvars)
         for _ in range(k):
             out = out * self

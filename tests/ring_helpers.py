@@ -1,12 +1,13 @@
 """Helpers shared by the ring tests: bitmasks of marking sets, the
-laminar monomials of a degree, a class's part of one degree, the check
-that a class vanishes in cohomology, and the weighted-space class as a
-ring class."""
+laminar monomials of a degree, a class's part of one degree, the ring
+product by its definition, the check that a class vanishes in
+cohomology, and the weighted-space class as a ring class."""
 
 import functools
 
 from hhi.exactnum import LaurentPoly
-from hhi.mzeron import CohClass, full_mask, integrate, mono_degree, psi_marking
+from hhi.mzeron import (CohClass, full_mask, integrate, merge_monomials, mono_degree,
+                        psi_marking)
 
 
 def mask_of(markings):
@@ -43,6 +44,20 @@ def degree_part(cls, d):
     """The terms of cls of degree d."""
     return CohClass(cls.n, cls.nvars,
                     {m: c for m, c in cls.terms.items() if mono_degree(m) == d})
+
+
+def naive_product(x, y):
+    """The ring product by its definition: every pair of monomials,
+    merged by merge_monomials and truncated above degree n-3."""
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            if mono_degree(m1) + mono_degree(m2) > x.n - 3:
+                continue
+            m = merge_monomials(m1, m2)
+            if m is not None:
+                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
+    return CohClass(x.n, x.nvars, out)
 
 
 def cohomologically_zero(cls):

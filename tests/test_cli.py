@@ -106,6 +106,17 @@ def test_invariant_inadmissible_prints_zero(capsys):
     assert "inadmissible" in err
 
 
+@pytest.mark.parametrize("method,names", [
+    ("direct", ["direct"]), ("weighted", ["weighted"]), ("comb", ["comb"]),
+    ("all", ["comb", "direct"])])
+def test_invariant_inadmissible_json_prints_zero_per_method(capsys, method, names):
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1",
+                       "-k", "1,1,2,1", "--method", method, "--json", "--no-cache")
+    assert rc == 0
+    assert [json.loads(line) for line in out.splitlines()] == [{name: []} for name in names]
+    assert "inadmissible" in err
+
+
 def test_invariant_bad_usage_exits_one(capsys):
     rc, _, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1")
     assert rc == 1

@@ -10,7 +10,7 @@ from hhi.euler import (_biv_mul, _index_product, compact_product, euler_class_co
 from hhi.invariants import InvariantKey, invariant_direct
 from hhi.mzeron import CohClass, full_mask, integrate, psi_marking, psi_subset
 from hhi.orbifold import OrbifoldData
-from ring_helpers import cohomologically_zero, mask_of, weighted_as_coh_class
+from ring_helpers import cohomologically_zero, mask_of, naive_product, weighted_as_coh_class
 
 
 def test_inv_linear_times_linear_is_one():
@@ -269,6 +269,26 @@ def test_compact_product_from_start_is_start_times_product(n, nvars, data):
         start = start + term
     assert unscale(*scaled_compact_product(n, nvars, deltas, pref, start)) == (
         start * compact_product(n, nvars, deltas, pref))
+
+
+def test_compact_class_matches_build_with_naive_product(monkeypatch):
+    """An n=7 compact class, 1615 terms, equals the same build with every
+    ring product taken by its definition."""
+    data = OrbifoldData(4, (1, 1, 2), (1, 1, 1, 1, 1, 1, 2))
+    cls = euler_class_compact(data)
+    assert len(cls.terms) == 1615
+    product = CohClass.__mul__
+    naive = []
+
+    def by_definition(x, y):
+        if not isinstance(y, CohClass):
+            return product(x, y)
+        naive.append(y)
+        return naive_product(x, y)
+
+    monkeypatch.setattr(CohClass, "__mul__", by_definition)
+    assert euler_class_compact(data) == cls
+    assert naive
 
 
 def test_compact_product_mixed_denominators_fixed_case():

@@ -139,6 +139,12 @@ def test_laurent_constant_helpers():
         t.as_rational()
 
 
+def test_laurent_negative_power_is_an_error():
+    with pytest.raises(ValueError):
+        LaurentPoly.var_power(2, 1, 1) ** -2
+    assert LaurentPoly.var_power(2, 1, 1) ** 0 == LaurentPoly.one(2)
+
+
 def test_laurent_mixed_nvars_rejected():
     with pytest.raises(ValueError):
         LaurentPoly.one(2) + LaurentPoly.one(3)

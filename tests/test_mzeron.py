@@ -1,15 +1,16 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational
 from hhi.mzeron import (CohClass, full_mask, integral_monomial, integrate,
-                        markings_of, merge_monomials, mono_degree,
-                        psi_integral, psi_marking, psi_subset)
-from ring_helpers import cohomologically_zero, laminar_monomials, mask_of
+                        markings_of, merge_monomials, psi_integral, psi_marking,
+                        psi_subset)
+from ring_helpers import cohomologically_zero, laminar_monomials, mask_of, naive_product
 
 
 def D(n, *markings):
@@ -307,18 +308,12 @@ def test_serialization_round_trip():
     ]
 
 
-def naive_product(x, y):
-    """The ring product by its definition: every pair of monomials,
-    merged by merge_monomials and truncated above degree n-3."""
-    out = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            if mono_degree(m1) + mono_degree(m2) > x.n - 3:
-                continue
-            m = merge_monomials(m1, m2)
-            if m is not None:
-                out[m] = out[m] + c1 * c2 if m in out else c1 * c2
-    return CohClass(x.n, x.nvars, out)
+def laurent_terms(nvars, min_size=0):
+    """Up to three {exp: coeff} entries, int or Fraction coefficients."""
+    entry = st.one_of(st.integers(-3, 3),
+                      st.builds(rational, st.integers(-3, 3), st.integers(1, 4)))
+    return st.dictionaries(st.tuples(*[st.integers(-1, 2)] * nvars), entry,
+                           min_size=min_size, max_size=3)
 
 
 @st.composite
@@ -332,11 +327,7 @@ def ring_classes(draw, n, nvars):
         st.integers(1, fm).map(lambda m: CohClass.generator(n, nvars, m)),
         st.integers(1, n).map(lambda i: psi_marking(n, nvars, i)),
         st.integers(1, fm).map(lambda m: psi_subset(n, nvars, m)))
-    entry = st.one_of(st.integers(-3, 3),
-                      st.builds(rational, st.integers(-3, 3), st.integers(1, 4)))
-    coeff = st.one_of(st.just({(0,) * nvars: 1}),
-                      st.dictionaries(st.tuples(*[st.integers(-1, 2)] * nvars), entry,
-                                      max_size=3))
+    coeff = st.one_of(st.just({(0,) * nvars: 1}), laurent_terms(nvars))
     total = CohClass.zero(n, nvars)
     for _ in range(draw(st.integers(1, 3))):
         term = CohClass.scalar(n, nvars, LaurentPoly(nvars, draw(coeff)))
@@ -352,13 +343,75 @@ def ring_classes(draw, n, nvars):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 7), st.integers(1, 2), st.data())
 def test_product_matches_naive_product(n, nvars, data):
-    """CohClass.__mul__ (degree buckets, no merge for the empty
-    monomial, no products for a unit coefficient) equals the product by
+    """CohClass.__mul__ (the constant term split off, the rest in degree
+    buckets, no products for a unit coefficient) equals the product by
     definition."""
     x = data.draw(ring_classes(n, nvars))
     y = data.draw(ring_classes(n, nvars))
     assert x * y == naive_product(x, y)
     assert y * x == naive_product(y, x)
+
+
+@st.composite
+def right_factors(draw, n, nvars):
+    """A ring class whose constant term is the unit, another Laurent
+    coefficient or missing: the three starts of CohClass.__mul__."""
+    x = draw(ring_classes(n, nvars))
+    x = x - x.terms.get((), 0)
+    kind = draw(st.sampled_from(["unit", "other", "missing"]))
+    if kind == "unit":
+        return x + 1
+    if kind == "other":
+        c = LaurentPoly(nvars, draw(laurent_terms(nvars, min_size=1)))
+        return x + (c if c and c != LaurentPoly.one(nvars) else LaurentPoly.const(nvars, 2))
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 7), st.integers(1, 2), st.data())
+def test_chained_products_match_naive_product(n, nvars, data):
+    """A product keeps its output degrees for the next product: products
+    of products, and of sums with a product, equal the product by
+    definition, whatever the right factors' constant terms."""
+    x = data.draw(ring_classes(n, nvars))
+    y, z, w = (data.draw(right_factors(n, nvars)) for _ in range(3))
+    xy = naive_product(x, y)
+    assert x * y == xy
+    assert (x * y) * z == naive_product(xy, z)
+    assert (x * y + z) * w == naive_product(xy + z, w)
+    assert (z + x * y) * w == naive_product(xy + z, w)
+    assert x * (y * z) == naive_product(x, naive_product(y, z))
+    assert (x * y) * (z * w) == naive_product(xy, naive_product(z, w))
+
+
+def test_product_drops_cancelled_terms():
+    """(1 + D)(1 - D) = 1 - D^2: the D term cancels and leaves the
+    result, and the next product starts from what is left."""
+    n = 6
+    one = CohClass.one(n, 1)
+    d = CohClass.generator(n, 1, mask_of([1, 2]))
+    p = (one + d) * (one - d)
+    assert p == one - d * d
+    assert ((mask_of([1, 2]), 1),) not in p.terms
+    assert p * (one + d) == naive_product(one - d * d, one + d)
+    assert (p * d) * d == d * d
+
+
+def test_rational_scalars_add_and_subtract():
+    one = CohClass.one(5, 1)
+    half = Fraction(1, 2)
+    assert one + half == CohClass.scalar(5, 1, Fraction(3, 2))
+    assert half + one == CohClass.scalar(5, 1, Fraction(3, 2))
+    assert one - half == CohClass.scalar(5, 1, half)
+    assert one - half == one * half
+    psi = psi_marking(5, 1, 1)
+    assert (psi + half) - half == psi
+
+
+def test_negative_power_is_an_error():
+    with pytest.raises(ValueError):
+        psi_marking(5, 1, 5) ** -1
+    assert psi_marking(5, 1, 5) ** 0 == CohClass.one(5, 1)
 
 
 def test_product_adds_unit_coefficient_terms():
