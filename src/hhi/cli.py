@@ -165,13 +165,14 @@ def cmd_invariant(args):
     for name in sorted(results):
         _print_poly(name, results[name], args.as_float, args.json)
     rc = _report_agreement(results)
-    # a call that added no record leaves the file alone, so a hit cannot
-    # write back an old snapshot over another process's records
+    # a call that added no record leaves the file alone; a save merges
+    # with the file, so it keeps records other processes saved meanwhile
     if cache is not None and len(cache) > cached:
         try:
             cache.save()
-        except OSError as exc:
-            sys.stderr.write("warning: cache not saved to %s: %s\n" % (path, exc.strerror or exc))
+        except (OSError, ValueError) as exc:
+            sys.stderr.write("warning: cache not saved to %s: %s\n"
+                             % (path, getattr(exc, "strerror", None) or exc))
     return rc
 
 
@@ -258,8 +259,14 @@ def cmd_cache_info(args):
         print("records: 0 (no file)")
         return 0
     cache = InvariantCache(path)
+    methods = {"direct": 0, "weighted": 0}
+    for rec in cache.records.values():
+        method = str(rec.get("method"))
+        methods[method] = methods.get(method, 0) + 1
     print("format: %s" % CACHE_FORMAT)
+    print("bytes: %d" % os.path.getsize(path))
     print("records: %d" % len(cache))
+    print("methods: %s" % " ".join("%s=%d" % kv for kv in sorted(methods.items())))
     return 0
 
 

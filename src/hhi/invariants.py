@@ -8,12 +8,14 @@ psi class survives and integration is a multinomial coefficient.
 Monodromies that do not multiply to one give zero for both (the moduli
 space is empty); OrbifoldData already refuses fewer than three markings.
 
-Cached values are exact strings in a versioned JSON file; writes go
+Cached values are exact strings in a versioned JSON file, one record per
+line.  A save merges the records on disk with its own, then writes
 through a temporary file and an atomic rename.
 """
 
 import json
 import os
+import stat
 import tempfile
 
 from .exactnum import LaurentPoly
@@ -172,6 +174,8 @@ class InvariantCache:
                 obj = json.load(fh)
         except OSError as exc:
             raise ValueError("cannot read cache %s: %s" % (path, exc.strerror))
+        except ValueError as exc:
+            raise ValueError("cache %s is not valid JSON: %s" % (path, exc)) from None
         if not isinstance(obj, dict):
             raise ValueError("cache %s is not a JSON object" % path)
         if obj.get("format") != CACHE_FORMAT:
@@ -184,16 +188,35 @@ class InvariantCache:
         self.records.update(records)
 
     def save(self, path=None):
+        """Write every record to the file: those on disk now, so records
+        another writer saved since this cache was loaded are kept, and this
+        cache's own, which win.  The file is plain JSON, one record per
+        line in key order; an existing file keeps its mode, a new one gets
+        0o666 less the umask.  ValueError if the file on disk is no longer
+        a cache; it is then left alone."""
         path = path or self.path
         if not path:
             raise ValueError("no cache path configured")
-        obj = {"format": CACHE_FORMAT,
-               "records": {k: self.records[k] for k in sorted(self.records)}}
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            ours = dict(self.records)
+            self.load(path)
+            self.records.update(ours)
+        encode = json.JSONEncoder(sort_keys=True).encode
+        lines = ["%s: %s" % (encode(k), encode(self.records[k])) for k in sorted(self.records)]
         d = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".hhi-cache-")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(obj, fh, indent=1, sort_keys=True)
+                os.fchmod(fd, mode)
+                fh.write('{"format": %s, "records": {\n' % encode(CACHE_FORMAT))
+                fh.write(",\n".join(lines))
+                fh.write("\n}}\n" if lines else "}}\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -5,7 +5,8 @@ import time
 import pytest
 
 from hhi.cli import main
-from hhi.invariants import InvariantCache
+from hhi.invariants import InvariantCache, InvariantKey, invariant_direct
+from hhi.orbifold import OrbifoldData
 
 
 def run(capsys, *argv):
@@ -346,6 +347,13 @@ def test_cache_info(capsys, isolated_cwd):
     rc, out, _ = run(capsys, "cache-info")
     assert rc == 0
     assert "records: 1" in out
+    assert "methods: direct=1 weighted=0" in out
+    run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1", "--method", "weighted")
+    rc, out, _ = run(capsys, "cache-info")
+    assert rc == 0
+    size = (isolated_cwd / "hhi-cache.json").stat().st_size
+    assert out.splitlines()[1:] == ["format: hhi/1", "bytes: %d" % size, "records: 2",
+                                    "methods: direct=1 weighted=1"]
 
 
 def test_cache_info_bad_file(capsys, isolated_cwd):
@@ -383,6 +391,65 @@ def test_cache_non_object_file_exits_one(capsys, isolated_cwd):
     rc, _, err = run(capsys, "cache-info")
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cache_truncated_file_names_the_file(capsys, isolated_cwd):
+    path = isolated_cwd / "hhi-cache.json"
+    run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1")
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    for argv in (["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1"], ["cache-info"]):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        assert err.startswith("error: cache hhi-cache.json is not valid JSON: ")
+        assert err.count("\n") == 1
+    assert out == "path: hhi-cache.json\n"
+
+
+def test_cache_miss_rewrites_an_indented_file_keeping_its_records(capsys, isolated_cwd):
+    """A file in the indented layout earlier versions wrote is served, and
+    a miss rewrites it one record per line without losing a record."""
+    path = isolated_cwd / "hhi-cache.json"
+    cache = InvariantCache()
+    for elems in [(1, 1, 1), (1, 1, 1, 0), (1, 1, 2, 2)]:
+        invariant_direct(InvariantKey(OrbifoldData(3, (1, 1, 1), elems), (0,) * len(elems)),
+                         cache=cache)
+    with open(path, "w") as fh:
+        json.dump({"format": "hhi/1", "records": cache.records}, fh, indent=1, sort_keys=True)
+    before = path.read_bytes()
+    assert run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1") == \
+        (0, "direct = 1/3\n", "")
+    assert path.read_bytes() == before
+    rc, _, _ = run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "2,2,2")
+    assert rc == 0
+    text = path.read_text()
+    assert text.startswith('{"format": "hhi/1", "records": {\n') and text.endswith("\n}}\n")
+    assert len(text.splitlines()) == 1 + 4 + 1
+    records = json.loads(text)["records"]
+    assert {k: records[k] for k in cache.records} == cache.records
+    assert len(records) == 4
+
+
+def test_cache_changed_since_load_prints_value_and_warns(capsys, isolated_cwd, monkeypatch):
+    """A cache file that stops being a cache between the load and the save
+    is left alone: the value is printed, with a warning, exit 0."""
+    import hhi.cli
+    path = isolated_cwd / "hhi-cache.json"
+    real = hhi.cli.invariant_direct
+
+    def clobbering(key, cache=None):
+        path.write_text("{]")
+        return real(key, cache=cache)
+
+    monkeypatch.setattr(hhi.cli, "invariant_direct", clobbering)
+    InvariantCache(str(path)).save()
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1")
+    assert (rc, out) == (0, "direct = 1/3\n")
+    assert err.startswith("warning: cache not saved to hhi-cache.json: cache hhi-cache.json "
+                          "is not valid JSON: ")
+    assert err.count("\n") == 1
+    assert path.read_text() == "{]"
+    assert os.listdir(isolated_cwd) == ["hhi-cache.json"]
 
 
 def test_cache_unwritable_path_prints_value_and_warns(capsys, isolated_cwd):

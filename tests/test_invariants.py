@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import stat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,3 +298,95 @@ def test_cache_save_is_atomic(tmp_path):
 def test_cache_requires_path_to_save():
     with pytest.raises(ValueError):
         InvariantCache().save()
+
+
+THIRD = LaurentPoly.const(3, rational(1, 3))
+
+
+def test_cache_save_merges_records_saved_since_the_load(tmp_path):
+    """Two caches opened on one snapshot each add a record; the second
+    save keeps the record the first one saved."""
+    path = str(tmp_path / "cache.json")
+    k0, k1, k2 = (key(3, (1, 1, 1), e) for e in [(1, 1, 1), (1, 1, 1, 0), (1, 1, 2, 2)])
+    base = InvariantCache(path)
+    base.put(k0, "direct", THIRD)
+    base.save()
+    first, second = InvariantCache(path), InvariantCache(path)
+    first.put(k1, "direct", LaurentPoly.zero(3))
+    first.save()
+    second.put(k2, "weighted", LaurentPoly.one(3))
+    second.save()
+    merged = InvariantCache(path)
+    assert len(merged) == 3
+    assert merged.get(k0, "direct") == THIRD
+    assert merged.get(k1, "direct") == LaurentPoly.zero(3)
+    assert merged.get(k2, "weighted") == LaurentPoly.one(3)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_cache_new_file_mode_follows_umask(tmp_path, umask, mode):
+    path = str(tmp_path / "cache.json")
+    cache = InvariantCache(path)
+    cache.put(key(3, (1, 1, 1), (1, 1, 1)), "direct", THIRD)
+    old = os.umask(umask)
+    try:
+        cache.save()
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+def test_cache_existing_file_keeps_its_mode(tmp_path):
+    path = str(tmp_path / "cache.json")
+    InvariantCache(path).save()
+    os.chmod(path, 0o604)
+    cache = InvariantCache(path)
+    cache.put(key(3, (1, 1, 1), (1, 1, 1)), "direct", THIRD)
+    old = os.umask(0o022)
+    try:
+        cache.save()
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o604
+    assert len(InvariantCache(path)) == 1
+
+
+def test_cache_file_is_one_record_per_line_in_key_order(tmp_path):
+    path = tmp_path / "cache.json"
+    cache = InvariantCache(str(path))
+    for elems in [(1, 1, 2, 2), (1, 1, 1), (2, 2, 2), (1, 1, 1, 0)]:
+        k = key(3, (1, 1, 1), elems)
+        cache.put(k, "direct", invariant_direct(k))
+    cache.save()
+    lines = path.read_text().split("\n")
+    assert lines[0] == '{"format": "hhi/1", "records": {'
+    assert lines[-2:] == ["}}", ""]
+    body = lines[1:-2]
+    assert all(line.endswith(",") for line in body[:-1]) and not body[-1].endswith(",")
+    parsed = [json.loads("{%s}" % line.rstrip(",")) for line in body]
+    assert all(len(rec) == 1 for rec in parsed)
+    assert [k for rec in parsed for k in rec] == sorted(cache.records)
+    assert {k: v for rec in parsed for k, v in rec.items()} == cache.records
+    assert json.loads(path.read_text()) == {"format": "hhi/1", "records": cache.records}
+
+
+def test_cache_saves_are_byte_identical(tmp_path):
+    path, copy = tmp_path / "cache.json", tmp_path / "copy.json"
+    cache = InvariantCache(str(path))
+    for elems in [(1, 1, 1), (1, 1, 2, 2)]:
+        k = key(3, (1, 1, 1), elems)
+        cache.put(k, "direct", invariant_direct(k))
+    cache.save()
+    first = path.read_bytes()
+    cache.save()
+    assert path.read_bytes() == first
+    InvariantCache(str(path)).save(str(copy))
+    assert copy.read_bytes() == first
+
+
+def test_cache_save_without_records_is_valid_json(tmp_path):
+    path = tmp_path / "cache.json"
+    InvariantCache(str(path)).save()
+    assert json.loads(path.read_text()) == {"format": "hhi/1", "records": {}}
+    assert len(InvariantCache(str(path))) == 0
+
