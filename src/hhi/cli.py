@@ -220,6 +220,8 @@ def cmd_series(args):
 
 def cmd_check(args):
     _check_lmax(args)
+    if args.nmax < 3:
+        raise ValueError("--nmax must be at least 3")
     failures = 0
 
     def report(name, ok):

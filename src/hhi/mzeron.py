@@ -19,7 +19,9 @@ degrees instead of recomputing them.
 Integration works on the shape of a monomial's laminar forest
 (_forest_key): a tree of nodes (free markings, exponent, children) under
 the full set, which is a complete invariant of the integral under
-relabeling of markings 1..n-1 and the key of the memo.  Restricting to a
+relabeling of markings 1..n-1 and the key of the memo.  The memo also
+holds each monomial integrated under (n, mono), so a monomial met again
+is one lookup and builds no forest key.  Restricting to a
 boundary divisor D(T) splits the tree: T's subtree becomes the T-side
 component, the rest keeps T as one marking (the node), and the powers
 of D(T) left over go binomially to the node psi classes on either side.
@@ -344,7 +346,7 @@ def _forest_key(n, mono):
     return (root_free, root_exp, tuple(sorted(key(i) for i in top)))
 
 
-_integral_memo = {}
+_integral_memo = {}  # forest keys and (n, mono) pairs -> integrals
 
 
 def _span(node):
@@ -397,10 +399,15 @@ def _integral_forest(root):
 
 
 def integral_monomial(n, mono):
-    """Exact integral of a laminar monomial over M0n (a rational number)."""
+    """Exact integral of a laminar monomial over M0n (a rational number).
+    The memo holds it under (n, mono) too, so a monomial met again needs
+    no forest key."""
     if mono_degree(mono) != n - 3:
         return rational(0)
-    return _integral_forest(_forest_key(n, mono))
+    hit = _integral_memo.get((n, mono))
+    if hit is None:
+        hit = _integral_memo[(n, mono)] = _integral_forest(_forest_key(n, mono))
+    return hit
 
 
 def integrate(c):

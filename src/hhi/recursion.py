@@ -15,8 +15,13 @@ single marking yields a smaller invariant of the same kind.
 Set partitions whose teeth carry the same multiset of marking labels
 (element, psi exponent) give the same term, so the sum runs over
 multiset partitions of the labels instead, each weighted by the number
-of set partitions it stands for (tooth_placements).  set_partitions is
-the brute-force enumeration those counts are checked against.
+of set partitions it stands for (tooth_placements).  The unit of work is
+the tooth's shape, the number of markings it takes from each label:
+what a tooth contributes depends on its shape alone, so the caller's
+tooth data is computed once per shape, shapes without data are dropped,
+and placements are built only from the shapes that remain.
+set_partitions is the brute-force enumeration those counts are checked
+against.
 
 equivariant_comb_expand is the descendant/equivariant refinement: teeth
 may carry psi insertions and need not satisfy the fractional-part
@@ -39,6 +44,7 @@ tau(t)/t is a series in u = t^3, that is one power of a series in u to
 order l per I_l, with no reversion or composition.
 """
 
+import functools
 import itertools
 import math
 
@@ -142,16 +148,21 @@ def _head_key(key, teeth, node_psis=None):
     return InvariantKey(OrbifoldData(data.r, data.weights, elements), psi)
 
 
-def tooth_placements(key):
-    """The tooth sets of a key, one per multiset of tooth labels.
+def tooth_placements(key, tooth_data):
+    """The tooth sets of a key whose every tooth has data, one per
+    multiset of tooth labels.
 
     Markings 1..n-1 are labeled by (element, psi exponent), and a key
     stores them sorted, so equal labels sit next to each other.  A tooth's
     shape is the number of markings it takes from each label; its size lies
-    in 2..n-2.  For every nonempty multiset of shapes that fits in the body,
-    yields (teeth, count): teeth built from the first unused markings of
-    each label, and the number of set partitions of 1..n-1 whose blocks
-    of size >= 2 carry those labels,
+    in 2..n-2, and whatever the caller reads off a tooth depends on its
+    shape alone.  So tooth_data(tooth) is called once per shape, on the
+    tooth of the first markings of each label, and a shape whose data is
+    None is dropped.  For every nonempty multiset of the remaining
+    shapes that fits in the body, yields (teeth, count, data): teeth built
+    from the first unused markings of each label, their shapes' data in
+    the same order, and the number of set partitions of 1..n-1 whose
+    blocks of size >= 2 carry those labels,
         prod m! / (prod c!  *  prod mult!  *  prod (m - used)!)
     over label multiplicities m, shape entries c, and the multiplicity
     mult of each distinct shape in the multiset.
@@ -159,30 +170,33 @@ def tooth_placements(key):
     n = key.data.n
     labels = zip(key.data.elements[:-1], key.psi[:-1])
     mults = [len(list(run)) for _, run in itertools.groupby(labels)]
-    starts = list(itertools.accumulate(mults, initial=1))
-    shapes = [c for c in itertools.product(*(range(m + 1) for m in mults))
-              if 2 <= sum(c) <= n - 2]
-    top = math.prod(math.factorial(m) for m in mults)
+    ends = [1 + s for s in itertools.accumulate(mults)]
+    fac = [math.factorial(x) for x in range(max(mults) + 1)]
 
-    def fill(first, left, chosen):
-        if chosen:
-            yield chosen, left
+    def place(c, left):
+        """The tooth of shape c on the first of the left unused markings."""
+        return [i for e, x, y in zip(ends, c, left) for i in range(e - y, e - y + x)]
+
+    shapes = []  # (shape, data, prod c!)
+    for c in itertools.product(*(range(m + 1) for m in mults)):
+        if 2 <= sum(c) <= n - 2:
+            d = tooth_data(place(c, mults))
+            if d is not None:
+                shapes.append((c, d, math.prod(fac[x] for x in c)))
+    top = math.prod(fac[m] for m in mults)
+
+    def fill(first, left, run, den, teeth, data):
+        # run: copies of shapes[first] already chosen; den: prod c! * prod mult!
+        if teeth:
+            yield teeth, top // (den * math.prod(fac[y] for y in left)), data
         for j in range(first, len(shapes)):
-            c = shapes[j]
+            c, d, cden = shapes[j]
             if all(x <= y for x, y in zip(c, left)):
-                yield from fill(j, tuple(y - x for x, y in zip(c, left)), chosen + [c])
+                k = run + 1 if j == first else 1
+                yield from fill(j, tuple(y - x for x, y in zip(c, left)), k, den * cden * k,
+                                teeth + [place(c, left)], data + [d])
 
-    for chosen, left in fill(0, tuple(mults), []):
-        den = math.prod(math.factorial(x) for c in chosen + [left] for x in c) * _aut_order(chosen)
-        at = list(starts)
-        teeth = []
-        for c in chosen:
-            tooth = []
-            for i, x in enumerate(c):
-                tooth.extend(range(at[i], at[i] + x))
-                at[i] += x
-            teeth.append(tooth)
-        yield teeth, top // den
+    yield from fill(0, tuple(mults), 0, 1, [], [])
 
 
 def comb_recursion(key, memo=None):
@@ -194,31 +208,29 @@ def comb_recursion(key, memo=None):
     return _comb_value(key, memo, {})
 
 
-def _tooth_weight(data, tooth, teeth_seen):
-    """tooth_factor_plain of an admissible tooth, else None.  Both depend
-    only on the tooth's elements, so teeth_seen keeps them by the sorted
-    element tuple (the group and weights are fixed within a recursion)."""
-    elems = tuple(sorted(data.elements[i - 1] for i in tooth))
-    if elems not in teeth_seen:
-        teeth_seen[elems] = (tooth_factor_plain(data, tooth)
-                             if tooth_admissible(data, tooth) else None)
-    return teeth_seen[elems]
-
-
-def _comb_value(key, memo, teeth_seen):
+def _comb_value(key, memo, tooth_weights):
     hit = memo.get(key)
     if hit is not None:
         return hit
     data = key.data
+
+    def weight(tooth):
+        """tooth_factor_plain of an admissible tooth, else None.  Both
+        depend only on the tooth's elements, and the group and weights are
+        fixed within a recursion, so tooth_weights keeps them by the element
+        tuple for every key; a tooth of first markings lists them sorted."""
+        elems = tuple(data.elements[i - 1] for i in tooth)
+        if elems not in tooth_weights:
+            tooth_weights[elems] = (tooth_factor_plain(data, tooth)
+                                    if tooth_admissible(data, tooth) else None)
+        return tooth_weights[elems]
+
     val = invariant_weighted(key)
-    for teeth, count in tooth_placements(key):
-        factors = [_tooth_weight(data, t, teeth_seen) for t in teeth]
-        if None in factors:
-            continue
+    for teeth, count, factors in tooth_placements(key, weight):
         w = rational((-1) ** (1 + sum(len(t) - 1 for t in teeth)) * count)
         for f in factors:
             w = w * f
-        val = val + _comb_value(_head_key(key, teeth), memo, teeth_seen) * w
+        val = val + _comb_value(_head_key(key, teeth), memo, tooth_weights) * w
     memo[key] = val
     return val
 
@@ -243,10 +255,7 @@ def equivariant_comb_expand(key):
         raise ValueError("inadmissible data")
     nvars = data.N
     heads = {}
-    for teeth, count in tooth_placements(key):
-        per_tooth = [_tooth_options(key, t) for t in teeth]
-        if not all(per_tooth):
-            continue
+    for teeth, count, per_tooth in tooth_placements(key, functools.partial(_tooth_options, key)):
         sign = (-1) ** (len(teeth) + 1)
         combos = [([], LaurentPoly.const(nvars, rational(sign * count)))]
         for opts in per_tooth:
@@ -258,13 +267,14 @@ def equivariant_comb_expand(key):
 
 
 def _tooth_options(key, markings):
-    """Per-tooth choices: list of (merged-marking psi exponent, weight)."""
+    """Per-tooth choices: list of (merged-marking psi exponent, weight),
+    or None when there is none."""
     data = key.data
     nvars = data.N
     nu = sum(key.psi[i - 1] for i in markings)
     l0 = len(markings) - 2 - nu
     if l0 < 0:
-        return []
+        return None
     mult = math.factorial(len(markings) - 2) // math.factorial(l0)
     for i in markings:
         mult //= math.factorial(key.psi[i - 1])
@@ -276,7 +286,7 @@ def _tooth_options(key, markings):
         for p in signed_index_set(delta - 1)[0]:
             values.append(LaurentPoly.var_power(nvars, a, -1, p))
     if len(values) <= l0:
-        return []
+        return None
     # elementary symmetric polynomials e_0..e_len in the values
     e = [LaurentPoly.one(nvars)]
     for v in values:

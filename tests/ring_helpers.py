@@ -66,7 +66,9 @@ def cohomologically_zero(cls):
     n, nvars = cls.n, cls.nvars
     one = LaurentPoly.one(nvars)
     for deg in range(n - 2):
-        part = degree_part(cls, deg)
+        # a product keeps its monomials' degrees, so times one the part's
+        # degrees are computed once, not once per probe
+        part = degree_part(cls, deg) * CohClass.one(n, nvars)
         if part.is_zero():
             continue
         for mono in laminar_monomials(n, n - 3 - deg):

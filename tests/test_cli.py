@@ -331,6 +331,20 @@ def test_series_negative_lmax_exits_one(capsys, command):
     assert err == "error: --lmax must be nonnegative\n"
 
 
+@pytest.mark.parametrize("nmax", ["-5", "0", "2"])
+def test_check_nmax_below_three_exits_one(capsys, nmax):
+    rc, out, err = run(capsys, "check", "--lmax", "1", "--nmax", nmax)
+    assert rc == 1
+    assert out == ""
+    assert err == "error: --nmax must be at least 3\n"
+
+
+def test_check_nmax_three_runs(capsys):
+    rc, out, _ = run(capsys, "check", "--lmax", "1", "--nmax", "3")
+    assert rc == 0
+    assert out.strip().splitlines()[-1] == "0 failure(s)"
+
+
 def test_check_passes(capsys):
     rc, out, _ = run(capsys, "check", "--lmax", "2", "--nmax", "6")
     assert rc == 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from collections import Counter
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 from hhi.exactnum import LaurentPoly, frac_factorial, rat_to_str, rational
 from hhi.invariants import InvariantKey, invariant_direct, invariant_weighted
 from hhi.orbifold import OrbifoldData
-from hhi.recursion import (Series, _aut_order, _cube_facs, c3z3_c_coeff,
-                           c3z3_direct, c3z3_mirror, c3z3_series,
-                           c3z3_weighted, comb_recursion,
-                           equivariant_comb_expand, mirror_tau,
-                           partitions_of_int, set_partitions, tooth_admissible,
-                           tooth_factor_plain, tooth_placements)
+from hhi.recursion import (Series, _aut_order, _cube_facs, _head_key,
+                           _tooth_options, c3z3_c_coeff, c3z3_direct,
+                           c3z3_mirror, c3z3_series, c3z3_weighted,
+                           comb_recursion, equivariant_comb_expand,
+                           mirror_tau, partitions_of_int, set_partitions,
+                           tooth_admissible, tooth_factor_plain,
+                           tooth_placements)
 
 
 def key(r, weights, elements, psi=None):
@@ -118,16 +120,27 @@ def test_comb_equals_direct_small_sweep():
         assert comb_recursion(k) == invariant_direct(k), k
 
 
+def tooth_label(k, tooth):
+    return tuple(sorted((k.data.elements[i - 1], k.psi[i - 1]) for i in tooth))
+
+
+def labels(k, teeth):
+    return tuple(sorted(tooth_label(k, t) for t in teeth))
+
+
+def admit_all(tooth):
+    return True
+
+
+PLACEMENT_BODIES = [key(3, (1, 1, 1), (1,) * 7),
+                    key(4, (1, 1, 2), (1, 1, 1, 2, 2, 2, 3)),
+                    key(4, (1, 1), (1, 1, 3, 3, 2, 2), (1, 0, 0, 0, 0, 0))]
+
+
 def test_tooth_placements_count_set_partitions():
     """Grouping the set partitions of 1..n-1 by the multiset of their
     teeth's labels gives exactly the placement counts."""
-    def labels(k, teeth):
-        return tuple(sorted(tuple(sorted((k.data.elements[i - 1], k.psi[i - 1]) for i in t))
-                            for t in teeth))
-
-    for k in [key(3, (1, 1, 1), (1,) * 7),
-              key(4, (1, 1, 2), (1, 1, 1, 2, 2, 2, 3)),
-              key(4, (1, 1), (1, 1, 3, 3, 2, 2), (1, 0, 0, 0, 0, 0))]:
+    for k in PLACEMENT_BODIES:
         n = k.data.n
         oracle = Counter()
         for part in set_partitions(range(1, n)):
@@ -135,10 +148,101 @@ def test_tooth_placements_count_set_partitions():
             if teeth and all(len(t) <= n - 2 for t in teeth):
                 oracle[labels(k, teeth)] += 1
         counts = {}
-        for teeth, count in tooth_placements(k):
+        for teeth, count, data in tooth_placements(k, admit_all):
             assert labels(k, teeth) not in counts
+            assert data == [True] * len(teeth)
             counts[labels(k, teeth)] = count
         assert counts == oracle, k
+
+
+def comb_weight(k):
+    def weight(tooth):
+        if tooth_admissible(k.data, tooth):
+            return tooth_factor_plain(k.data, tooth)
+        return None
+    return weight
+
+
+def assert_filtered_placements(k, tooth_data):
+    """Placements filtered by tooth_data are the unfiltered placements
+    whose every tooth has data, with the same counts, and each tooth is
+    handed the data tooth_data gives that very tooth."""
+    expected = {}
+    for teeth, count, _ in tooth_placements(k, admit_all):
+        data = [tooth_data(t) for t in teeth]
+        if None not in data:
+            pairs = sorted(zip((tooth_label(k, t) for t in teeth), data), key=lambda p: p[0])
+            expected[labels(k, teeth)] = (count, pairs)
+    got = {}
+    for teeth, count, data in tooth_placements(k, tooth_data):
+        assert labels(k, teeth) not in got
+        pairs = sorted(zip((tooth_label(k, t) for t in teeth), data), key=lambda p: p[0])
+        got[labels(k, teeth)] = (count, pairs)
+    assert got == expected, k
+
+
+def test_tooth_placements_filter_equals_unfiltered():
+    for k in PLACEMENT_BODIES:
+        assert_filtered_placements(k, comb_weight(k))
+        assert_filtered_placements(k, functools.partial(_tooth_options, k))
+        assert_filtered_placements(k, lambda tooth: None)
+
+
+@st.composite
+def body_keys(draw, nmax):
+    """Keys with r <= 6, N <= 3, n <= nmax, psi anywhere, and the last
+    element chosen to make the data admissible."""
+    r = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.integers(1, r - 1), min_size=1, max_size=3))
+    n = draw(st.integers(3, nmax))
+    body = draw(st.lists(st.integers(0, r - 1), min_size=n - 1, max_size=n - 1))
+    psi = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return key(r, weights, body + [(-sum(body)) % r], psi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(body_keys(8))
+def test_tooth_placements_filter_sweep(k):
+    assert_filtered_placements(k, comb_weight(k))
+    assert_filtered_placements(k, functools.partial(_tooth_options, k))
+
+
+def expand_by_set_partitions(k):
+    """equivariant_comb_expand by its definition: every set partition of
+    1..n-1 with teeth of size 2..n-2, every choice of tooth options."""
+    n, nvars = k.data.n, k.data.N
+    heads = {}
+    for part in set_partitions(range(1, n)):
+        teeth = [b for b in part if len(b) >= 2]
+        if not teeth or any(len(t) > n - 2 for t in teeth):
+            continue
+        options = [_tooth_options(k, t) for t in teeth]
+        if None in options:
+            continue
+        for choice in itertools.product(*options):
+            w = LaurentPoly.const(nvars, rational((-1) ** (len(teeth) + 1)))
+            for _, ow in choice:
+                w = w * ow
+            head = _head_key(k, teeth, [e for e, _ in choice])
+            heads[head] = heads[head] + w if head in heads else w
+    return {head: w for head, w in heads.items() if w}
+
+
+def test_equivariant_expand_equals_set_partition_walk():
+    cases = [
+        key(3, (1, 1, 1), (1,) * 6 + (0,), (0, 1, 0, 2, 0, 0, 1)),
+        key(4, (1, 1), (1, 1, 3, 3, 2, 2), (1, 0, 0, 0, 0, 0)),
+        key(5, (1, 2, 2), (1, 2, 3, 4, 1, 2, 2), (0, 0, 1, 0, 0, 1, 0)),
+        key(6, (1, 2, 3), (1, 1, 5, 2, 4, 3, 2), (2, 0, 1, 1, 0, 0, 1)),
+    ]
+    for k in cases:
+        assert dict(equivariant_comb_expand(k)) == expand_by_set_partitions(k), k
+
+
+@settings(max_examples=25, deadline=None)
+@given(body_keys(7))
+def test_equivariant_expand_set_partition_sweep(k):
+    assert dict(equivariant_comb_expand(k)) == expand_by_set_partitions(k)
 
 
 def test_comb_frozen_mixed_n11():
@@ -146,6 +250,13 @@ def test_comb_frozen_mixed_n11():
     all set partitions of the body gives."""
     k = key(4, (1, 1, 2), (1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 1))
     assert comb_recursion(k) == LaurentPoly.const(3, rational(47, 128))
+
+
+def test_comb_frozen_n14():
+    """Recorded from the build that checked each placement's teeth one by
+    one against a per-recursion table of tooth elements."""
+    k = key(4, (1, 1, 2), (1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 1))
+    assert comb_recursion(k) == LaurentPoly.const(3, rational(-157221, 16384))
 
 
 def test_equivariant_expand_identity():
