@@ -91,11 +91,11 @@ def build_parser():
 
 
 def _cache_path(args):
+    if args.cache == "":
+        raise ValueError("--cache needs a nonempty path")
     if getattr(args, "no_cache", False):
         return None
-    if getattr(args, "cache", None):
-        return args.cache
-    return os.environ.get("HHI_CACHE", DEFAULT_CACHE)
+    return args.cache or os.environ.get("HHI_CACHE", DEFAULT_CACHE)
 
 
 def _make_data(args):
@@ -113,12 +113,7 @@ def _print_poly(label, val, as_float=False, as_json=False):
         return
     print("%s = %s" % (label, val))
     if as_float:
-        bits = []
-        for e in sorted(val.terms):
-            mono = "*".join("t%d^%d" % (a + 1, k) for a, k in enumerate(e) if k)
-            c = rat_to_float_str(val.terms[e])
-            bits.append(c if not mono else "%s*%s" % (c, mono))
-        print("%s ~ %s" % (label, " + ".join(bits) if bits else "0"))
+        print("%s ~ %s" % (label, val.render(rat_to_float_str)))
 
 
 def _report_agreement(results):
@@ -135,6 +130,7 @@ def _report_agreement(results):
 
 def cmd_invariant(args):
     key = _make_key(args)
+    path = _cache_path(args)
     if not key.data.admissible():
         if args.json:
             methods = ("comb", "direct") if args.method == "all" else (args.method,)
@@ -144,7 +140,6 @@ def cmd_invariant(args):
             print("0")
         sys.stderr.write("note: inadmissible monodromy data; the moduli space is empty\n")
         return 0
-    path = _cache_path(args)
     cache = InvariantCache(path) if path else None
     cached = len(cache) if cache is not None else 0
     results = {}
@@ -157,8 +152,7 @@ def cmd_invariant(args):
             results["comb"] = comb_recursion(key)
         except ValueError as exc:
             if args.method == "comb":
-                sys.stderr.write("error: %s\n" % exc)
-                return 1
+                raise
             sys.stderr.write("note: comb recursion not applicable: %s\n" % exc)
     if args.coarse:
         results = {name: v * key.data.r for name, v in results.items()}

@@ -228,24 +228,14 @@ def unscale(cls, s):
                                        for m, c in cls.terms.items()})
 
 
-def compact_product(n, nvars, deltas, prefactor_exps):
-    """The compact-form product of scaled_compact_product, unscaled."""
-    return unscale(*scaled_compact_product(n, nvars, deltas, prefactor_exps,
-                                           CohClass.one(n, nvars)))
-
-
 def scaled_compact_class(data, start):
     """The compact-form Euler class as (cls, s), scaled as in
     scaled_compact_product (s divides the group order), times start."""
     _require_admissible(data)
     n, nvars = data.n, data.N
     deltas = [[data.age(i, a) for i in range(1, n)] for a in range(1, nvars + 1)]
-    prefactor = []
-    for a in range(1, nvars + 1):
-        total = data.age_sum(range(1, n + 1), a)
-        if total.denominator != 1:
-            raise ValueError("per-direction age sum must be an integer")
-        prefactor.append(int(total) - 1)
+    # admissible data have an integer age sum in every direction
+    prefactor = [int(data.age_sum(range(1, n + 1), a)) - 1 for a in range(1, nvars + 1)]
     return scaled_compact_product(n, nvars, deltas, prefactor, start)
 
 

@@ -7,11 +7,12 @@ computation fed only integers (the compact Euler-class build) never
 touches the rational type.  Ints, Fraction and mpq hash and compare
 identically, so code elsewhere never needs to care which one it holds.
 
-The fractional-part convention used throughout is the *upper* one:
-frac_unit(x) = x - ceil(x) + 1, which lands in (0, 1] and equals 1 on
-integers.  Products indexed "from frac_unit(x) up to x in integer steps"
-are encoded by signed_index_set, which also gives a meaning to the empty
-and "inverted" ranges that occur when x <= 0.
+The fractional-part convention used throughout is the *upper* one: the
+upper fractional part of x is x - ceil(x) + 1, which lands in (0, 1] and
+equals 1 on integers.  Products indexed "from the upper fractional part
+of x up to x in integer steps" are encoded by signed_index_set, which
+also gives a meaning to the empty and "inverted" ranges that occur when
+x <= 0.
 """
 
 import math
@@ -74,14 +75,9 @@ def rat_to_float_str(x):
     return "%s%se%+03d" % ("-" if x < 0 else "", mantissa, exp)
 
 
-def frac_unit(x):
-    """Fractional part in (0, 1]: x - ceil(x) + 1.  Equals 1 on integers."""
-    return x - math.ceil(x) + 1
-
-
 def signed_index_set(x):
-    """The index set of the product "p runs from frac_unit(x) to x", as
-    (positives, negatives).
+    """The index set of the product "p runs from the upper fractional
+    part of x to x", as (positives, negatives).
 
     positives holds {p : 0 < p <= x, p = x mod 1}; these indices occur in
     the numerator.  negatives holds {p : x < p <= 0, p = x mod 1}; these
@@ -89,7 +85,7 @@ def signed_index_set(x):
     -1 < x <= 0 both parts are empty and the product is 1.
     """
     x = rational(x)
-    c = math.ceil(x)  # frac_unit(x) = x - c + 1
+    c = math.ceil(x)  # x - c + 1 is the upper fractional part of x
     return [x - c + 1 + i for i in range(c)], [x + 1 + i for i in range(-c)]
 
 
@@ -162,9 +158,6 @@ class LaurentPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def _check(self, other):
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts: %d vs %d" % (self.nvars, other.nvars))
@@ -210,27 +203,8 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative exponent %d" % k)
-        out = LaurentPoly.one(self.nvars)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def scale_div(self, c):
         return self * (rational(1) / rational(c))
-
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, 0)
-
-    def as_rational(self):
-        """The value of a constant polynomial; error if t-dependent."""
-        if not self.terms:
-            return 0
-        if list(self.terms) != [(0,) * self.nvars]:
-            raise ValueError("not a constant: %s" % self)
-        return self.constant_term()
 
     def to_obj(self):
         out = []
@@ -255,7 +229,9 @@ class LaurentPoly:
                 raise ValueError("unparsable coeff: %r" % (coeff,)) from None
         return cls(nvars, terms)
 
-    def __repr__(self):
+    def render(self, coeff_str=rat_to_str):
+        """The terms in exponent order, as "c*t1*t3^2", the coefficient
+        rendered by coeff_str and left out where it renders as "1"."""
         if not self.terms:
             return "0"
         bits = []
@@ -264,6 +240,8 @@ class LaurentPoly:
                 "t%d" % (a + 1) if k == 1 else "t%d^%d" % (a + 1, k)
                 for a, k in enumerate(e) if k
             )
-            c = rat_to_str(self.terms[e])
+            c = coeff_str(self.terms[e])
             bits.append(c if not mono else ("%s*%s" % (c, mono) if c != "1" else mono))
         return " + ".join(bits)
+
+    __repr__ = render

@@ -68,10 +68,6 @@ class InvariantKey:
             "psi": list(self.psi),
         }
 
-    @classmethod
-    def from_obj(cls, obj):
-        return cls(OrbifoldData(obj["r"], obj["weights"], obj["elements"]), obj["psi"])
-
     def __repr__(self):
         return "InvariantKey(%r, psi=%s)" % (self.data, self.psi)
 

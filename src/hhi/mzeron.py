@@ -157,14 +157,10 @@ class CohClass:
 
     def __mul__(self, other):
         if not isinstance(other, CohClass):
-            if not isinstance(other, LaurentPoly):
-                other = LaurentPoly.const(self.nvars, other)
-            if other.is_zero():
-                return CohClass(self.n, self.nvars)
-            return CohClass(self.n, self.nvars,
-                            {m: c * other for m, c in self.terms.items()})
+            other = CohClass.scalar(self.n, self.nvars, other)
         self._check(other)
-        # The right factor is c0 + rest, c0 its constant term.  c0 alone
+        # The right factor is c0 + rest, c0 its constant term (a number or
+        # LaurentPoly factor is taken as a constant class: all c0).  c0 alone
         # gives a copy of the left terms (sharing their coefficients when c0
         # is the unit, as in every Euler-class factor), and only left
         # monomials with room under the socle degree n-3 meet rest, which is

@@ -354,8 +354,6 @@ def c3z3_series(lmax):
 def c3z3_c_coeff(p, ell):
     """C_{p,l}: tooth data grouped over partitions of p, against the
     multinomial count of placements among 3l+2 markings."""
-    if p == 0:
-        return rational(1)
     facs = _cube_facs(p)
     total = rational(0)
     for parts in partitions_of_int(p, 1):
@@ -460,9 +458,6 @@ class Series:
             p.append(sum((((alpha + 1) * i - k) * c[i] * p[k - i]
                           for i in range(1, k + 1) if c[i]), rational(0)) / k)
         return Series(self.order, p)
-
-    def coefficient(self, k):
-        return self.coeffs[k]
 
     def __repr__(self):
         from .exactnum import rat_to_str

@@ -1,13 +1,21 @@
-"""Helpers shared by the ring tests: bitmasks of marking sets, the
-laminar monomials of a degree, a class's part of one degree, the ring
-product by its definition, the check that a class vanishes in
-cohomology, and the weighted-space class as a ring class."""
+"""Helpers shared by the ring tests: the upper fractional part, bitmasks
+of marking sets, the laminar monomials of a degree, a class's part of
+one degree, the ring product by its definition, the check that a class
+vanishes in cohomology, the weighted-space class as a ring class, and
+the compact-form product unscaled."""
 
 import functools
+import math
 
+from hhi.euler import scaled_compact_product, unscale
 from hhi.exactnum import LaurentPoly
 from hhi.mzeron import (CohClass, full_mask, integrate, merge_monomials, mono_degree,
                         psi_marking)
+
+
+def frac_unit(x):
+    """Fractional part in (0, 1]: x - ceil(x) + 1.  Equals 1 on integers."""
+    return x - math.ceil(x) + 1
 
 
 def mask_of(markings):
@@ -82,3 +90,9 @@ def weighted_as_coh_class(w, n, nvars):
     psi_n = psi_marking(n, nvars, n)
     return sum((CohClass.scalar(n, nvars, c) * psi_n ** j for j, c in w.items()),
                CohClass.zero(n, nvars))
+
+
+def compact_product(n, nvars, deltas, prefactor_exps):
+    """The compact-form product of scaled_compact_product, unscaled."""
+    return unscale(*scaled_compact_product(n, nvars, deltas, prefactor_exps,
+                                           CohClass.one(n, nvars)))

@@ -10,13 +10,13 @@ import time
 
 from hhi.exactnum import LaurentPoly, frac_factorial, rational
 from hhi.euler import euler_class_compact, euler_class_mainthm, wall_factor, \
-    weighted_class, compact_product
+    weighted_class
 from hhi.invariants import InvariantKey, invariant_direct, invariant_weighted
 from hhi.mzeron import CohClass, full_mask, integrate, psi_marking, psi_subset
 from hhi.orbifold import OrbifoldData
 from hhi.recursion import c3z3_direct, c3z3_mirror, c3z3_series, \
     c3z3_weighted, comb_recursion
-from ring_helpers import cohomologically_zero, weighted_as_coh_class
+from ring_helpers import cohomologically_zero, compact_product, weighted_as_coh_class
 
 
 def _report(name, t0):

@@ -4,8 +4,11 @@ import time
 
 import pytest
 
+import hhi.cli
 from hhi.cli import main
+from hhi.exactnum import LaurentPoly
 from hhi.invariants import InvariantCache, InvariantKey, invariant_direct
+from hhi.mzeron import CohClass
 from hhi.orbifold import OrbifoldData
 
 
@@ -40,6 +43,21 @@ def test_invariant_coarse_and_float(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "direct = 1"
     assert lines[1] == "direct ~ 1"
+
+
+@pytest.mark.parametrize("args,exact,approx", [
+    (("-r", "4", "-w", "1,1,2", "-k", "1,1,1,1,1,1,2", "--psi", "0,0,0,0,0,0,2"),
+     "1/16*t3^2 + 3/8*t2*t3 + 3/8*t1*t3 + 1/2*t1*t2",
+     "0.0625*t3^2 + 0.375*t2*t3 + 0.375*t1*t3 + 0.5*t1*t2"),
+    (("-r", "3", "-w", "1,1,1", "-k", "0,0,0", "--coarse"),
+     "t1^-1*t2^-1*t3^-1", "t1^-1*t2^-1*t3^-1"),
+], ids=["exponent-one", "unit-coefficient"])
+def test_invariant_float_line_spells_monomials_as_exact_line(capsys, args, exact, approx):
+    """The --float line differs from the exact line only in its
+    coefficients: an exponent 1 and a unit coefficient are left out."""
+    rc, out, _ = run(capsys, "invariant", *args, "--float", "--no-cache")
+    assert rc == 0
+    assert out.splitlines() == ["direct = " + exact, "direct ~ " + approx]
 
 
 @pytest.mark.parametrize("method,plain,coarse", [
@@ -85,6 +103,12 @@ def test_invariant_all_notes_inapplicable_comb(capsys):
     assert rc == 0
     assert "comb recursion not applicable" in err
     assert "direct =" in out and "MATCH" not in out
+
+
+def test_invariant_comb_on_non_age_one_body_exits_one(capsys):
+    rc, out, err = run(capsys, "invariant", "-r", "3", "-w", "1,1,1",
+                       "-k", "1,1,1,0,0,0", "--method", "comb", "--no-cache")
+    assert (rc, out, err) == (1, "", "error: markings 1..n-1 must carry age-one elements\n")
 
 
 def test_invariant_zero_by_dimension_builds_nothing(capsys):
@@ -235,6 +259,18 @@ def test_no_cache_writes_nothing(capsys, isolated_cwd):
     assert list(isolated_cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1"],
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,2"],
+    ["cache-info"],
+], ids=["invariant", "invariant-inadmissible", "cache-info"])
+def test_empty_cache_path_exits_one(capsys, isolated_cwd, argv):
+    """An empty --cache is a bad input, not the default file."""
+    rc, out, err = run(capsys, *argv, "--cache", "")
+    assert (rc, out, err) == (1, "", "error: --cache needs a nonempty path\n")
+    assert list(isolated_cwd.iterdir()) == []
+
+
 def test_euler_both_forms_match(capsys):
     rc, out, _ = run(capsys, "euler", "-r", "3", "-w", "1,1,1",
                      "-k", "1,1,1,1,1,1", "--form", "both")
@@ -351,6 +387,43 @@ def test_check_passes(capsys):
     lines = out.strip().splitlines()
     assert lines[-1] == "0 failure(s)"
     assert all(line.startswith("ok  ") for line in lines[:-1])
+
+
+def test_invariant_mismatch_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(hhi.cli, "comb_recursion", lambda key: LaurentPoly.const(3, 1))
+    rc, out, _ = run(capsys, "invariant", "-r", "3", "-w", "1,1,1",
+                     "-k", "1,1,1,1,1,1", "--method", "all", "--no-cache")
+    assert rc == 2
+    assert out.splitlines() == ["comb = 1", "direct = -1/27", "MISMATCH"]
+
+
+def test_euler_mismatch_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(hhi.cli, "euler_class_mainthm", lambda data: CohClass.one(data.n, data.N))
+    rc, out, _ = run(capsys, "euler", "-r", "3", "-w", "1,1,1",
+                     "-k", "1,1,1,1,1,1", "--form", "both")
+    assert rc == 2
+    lines = out.splitlines()
+    assert lines[1] == '{"mainthm": [{"coeff": [{"coeff": "1", "t_exp": [0, 0, 0]}], "monomial": []}]}'
+    assert lines[2:] == ["MISMATCH"]
+
+
+def test_series_mismatch_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(hhi.cli, "c3z3_mirror", lambda lmax: [0] * (lmax + 1))
+    rc, out, _ = run(capsys, "series", "--lmax", "2", "--method", "all")
+    assert rc == 2
+    assert "mirror I_0 = 0" in out.splitlines()
+    assert out.splitlines()[-1] == "MISMATCH"
+
+
+def test_check_failure_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(hhi.cli, "c3z3_mirror", lambda lmax: [0] * (lmax + 1))
+    rc, out, _ = run(capsys, "check")
+    assert rc == 2
+    lines = out.splitlines()
+    assert "FAIL series vs mirror map (lmax=3)" in lines
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL series vs mirror map (lmax=3)"]
+    assert lines[-1] == "1 failure(s)"
 
 
 def test_cache_info(capsys, isolated_cwd):

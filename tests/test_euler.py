@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhi.exactnum import LaurentPoly, rational, signed_index_set
-from hhi.euler import (_biv_mul, _index_product, compact_product, euler_class_compact,
-                       euler_class_mainthm, inv_linear, scaled_compact_product,
-                       unscale, wall_factor, weighted_class)
+from hhi.euler import (_biv_mul, _index_product, euler_class_compact, euler_class_mainthm,
+                       inv_linear, scaled_compact_product, unscale, wall_factor,
+                       weighted_class)
 from hhi.invariants import InvariantKey, invariant_direct
 from hhi.mzeron import CohClass, full_mask, integrate, psi_marking, psi_subset
 from hhi.orbifold import OrbifoldData
-from ring_helpers import cohomologically_zero, mask_of, naive_product, weighted_as_coh_class
+from ring_helpers import (cohomologically_zero, compact_product, mask_of, naive_product,
+                          weighted_as_coh_class)
 
 
 def test_inv_linear_times_linear_is_one():

@@ -136,7 +136,10 @@ def test_key_validation():
 
 def test_key_serialization_round_trip():
     k = key(5, (1, 2, 3), (1, 4, 2, 3, 0), (1, 0, 0, 0, 1))
-    assert InvariantKey.from_obj(k.to_obj()) == k
+    assert k.to_obj() == {"r": 5, "weights": [1, 2, 3], "elements": [1, 2, 3, 4, 0],
+                          "psi": [1, 0, 0, 0, 1]}
+    obj = k.to_obj()
+    assert InvariantKey(OrbifoldData(obj["r"], obj["weights"], obj["elements"]), obj["psi"]) == k
 
 
 def test_cubic_point_value():

@@ -21,10 +21,6 @@ def const(n, c):
     return CohClass.scalar(n, 1, rational(c))
 
 
-def integral(c):
-    return integrate(c).as_rational()
-
-
 def test_masks():
     assert mask_of([1, 3]) == 0b101
     assert markings_of(0b101) == [1, 3]
@@ -84,7 +80,7 @@ def test_basic_integrals():
 def test_psi_power_integrals_through_divisor_symbols():
     for n in (4, 5, 6):
         for i in (1, n - 1, n):
-            assert integral(psi_marking(n, 1, i) ** (n - 3)) == 1
+            assert integrate(psi_marking(n, 1, i) ** (n - 3)) == LaurentPoly.one(1)
 
 
 def test_integrate_returns_laurent():
@@ -246,7 +242,8 @@ def test_node_psi_split_integral(n):
         d = CohClass.generator(n, 1, tmask)
         psi_t = psi_subset(n, 1, tmask)
         # -D(T) - psi_T restricts to the node's psi class on the T-component
-        assert integral(d * (-d - psi_t) ** (size - 2) * psi_t ** (n - size - 2)) == 1
+        assert integrate(d * (-d - psi_t) ** (size - 2)
+                         * psi_t ** (n - size - 2)) == LaurentPoly.one(1)
 
 
 def test_integral_pick_order_invariance():
@@ -350,6 +347,20 @@ def test_product_matches_naive_product(n, nvars, data):
     y = data.draw(ring_classes(n, nvars))
     assert x * y == naive_product(x, y)
     assert y * x == naive_product(y, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 7), st.integers(1, 2), st.data())
+def test_scalar_product_is_product_with_scalar_class(n, nvars, data):
+    """A class times a number (on either side) or a LaurentPoly is its
+    product with the constant class of that factor."""
+    x = data.draw(ring_classes(n, nvars))
+    poly = LaurentPoly(nvars, data.draw(laurent_terms(nvars)))
+    for factor in (Fraction(-3, 4), 5, poly, 0):
+        scalar = CohClass.scalar(n, nvars, factor)
+        assert x * factor == x * scalar == naive_product(x, scalar)
+        if not isinstance(factor, LaurentPoly):
+            assert factor * x == x * scalar
 
 
 @st.composite

@@ -352,12 +352,20 @@ def test_series_recursion_bottom_matches_direct_invariant():
     assert invariant_direct(k) == LaurentPoly.const(3, c3z3_series(1)[1])
 
 
+def test_series_matches_generic_comb():
+    """I_l is the invariant with 3l+3 age-one markings on [C^3/mu_3]:
+    the series route against the generic comb recursion, for l <= 10."""
+    for ell, value in enumerate(c3z3_series(10)):
+        k = key(3, (1, 1, 1), (1,) * (3 * ell + 3))
+        assert comb_recursion(k) == LaurentPoly.const(3, value), ell
+
+
 def test_mirror_map_leading_correction():
     tau = mirror_tau(8)
-    assert tau.coefficient(0) == 0
-    assert tau.coefficient(1) == 1
-    assert tau.coefficient(4) == rational(-1, 648)
-    assert tau.coefficient(2) == 0 and tau.coefficient(3) == 0
+    assert tau.coeffs[0] == 0
+    assert tau.coeffs[1] == 1
+    assert tau.coeffs[4] == rational(-1, 648)
+    assert tau.coeffs[2] == 0 and tau.coeffs[3] == 0
 
 
 def test_series_arithmetic():
@@ -419,7 +427,7 @@ def test_mirror_equals_composition_with_reversed_mirror_map():
         for n in range(3, order + 2, 3):
             a.coeffs[n - 1] = c3z3_weighted(n) / math.factorial(n - 1)
         b = a.compose(reverse(mirror_tau(order)))
-        assert c3z3_mirror(lmax) == [b.coefficient(3 * ell + 2) * math.factorial(3 * ell + 2)
+        assert c3z3_mirror(lmax) == [b.coeffs[3 * ell + 2] * math.factorial(3 * ell + 2)
                                      for ell in range(lmax + 1)], lmax
 
 
